@@ -12,6 +12,11 @@ of C. Minimizing the surrogate is maximizing tr(Y^T D) for the assembled D,
 solved exactly by the SVD. Since D has zero column sums whenever W and Q do
 (each g_l sums to 0 and C annihilates the ones vector), the centering
 constraint propagates through the Procrustes solve by induction.
+
+Every edge sum goes through the graph's gather and scatter operators, so an
+inner iteration costs O(m d) beyond its SVD. inner_admm forms the edge
+differences of Y once per Y update and hands them to the V step, the Lambda
+step, the Lagrangian and the next assemble_D (whose Q is that Y).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RANK_TOL, check_matrix, thin_svd
-from .fusion_graph import FusionGraph
-from .group_lasso import group_soft_threshold
+from .fusion_graph import FusionGraph, edge_gather, edge_scatter
+from .group_lasso import row_soft_threshold
 
 
 @dataclass
@@ -58,44 +63,37 @@ class ScoringState:
 def init_state(Y0, graph: FusionGraph) -> ScoringState:
     """Fresh state: V holds the row differences of Y0, Lambda is zero."""
     Y0 = check_matrix(Y0, "Y0")
-    if graph.m > 0:
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
-        V = Y0[i] - Y0[j]
-    else:
-        V = np.zeros((0, Y0.shape[1]))
+    V = edge_differences(Y0, graph)
     Lam = np.zeros_like(V)
     return ScoringState(Y=Y0.copy(), V=V, Lambda=Lam, Q=Y0.copy())
 
 
 def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
     """Rows y_i - y_j for every edge l = (i, j), shape (m, d)."""
-    if graph.m == 0:
-        return np.zeros((0, Y.shape[1]))
-    return Y[graph.edges[:, 0]] - Y[graph.edges[:, 1]]
+    return edge_gather(Y, graph.edges)
 
 
-def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float) -> np.ndarray:
+def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
+               diffs=None) -> np.ndarray:
     """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
 
-    The edge sums touch two rows per edge and are accumulated in O(m d)
-    without forming any g_l vector.
+    With 2 C Q = rho_C sum_l g_l (q_i - q_j)^T (rho_C the rho C was built
+    with), all three edge sums are one scatter:
+    D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho_C (q_i - q_j))^T),
+    in O(m d). diffs, when given, are the edge differences of state.Q.
     """
     W = check_matrix(W, "W")
     n, d = W.shape
     if state.Y.shape != (n, d):
         raise ValueError(f"state Y is {state.Y.shape}, expected {(n, d)}")
-    if graph.C is None or graph.omega is None:
+    if graph.rho is None or graph.omega is None:
         raise ValueError("graph quadratic not built; call build_quadratic first")
     if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
         raise ValueError("V/Lambda rows do not align with the graph edge list")
-    acc = W.copy()
-    if graph.m > 0:
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
-        T = state.Lambda + rho * state.V
-        np.add.at(acc, i, T)
-        np.subtract.at(acc, j, T)
-    acc += 2.0 * (graph.omega * state.Q - graph.C @ state.Q)
-    return 0.5 * acc
+    if diffs is None:
+        diffs = edge_differences(state.Q, graph)
+    T = state.Lambda + rho * state.V - graph.rho * diffs
+    return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, n))
 
 
 def _complete_orthonormal(avoid: np.ndarray, cand: np.ndarray, need: int) -> np.ndarray:
@@ -189,7 +187,7 @@ def majorizer_value(Y, Q, C, omega: float) -> float:
 
 
 def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
-             mode: str = "paper") -> ScoringState:
+             mode: str = "paper", diffs=None) -> ScoringState:
     """Per-edge V step on 1/2 ||v - q_l||^2 + psi_l ||v||, psi_l = gamma * alpha_l / rho.
 
     Here q_l = y_i - y_j - lambda_l / rho. mode="paper" takes one
@@ -199,56 +197,57 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     Because the quadratic's gradient is 1-Lipschitz, a step length psi_l < 1
     makes this a descent step: it never raises the per-edge objective.
     mode="exact" jumps to the closed-form minimizer, the group soft
-    threshold of q_l at psi_l.
+    threshold of q_l at psi_l. diffs, when given, are the edge differences
+    of state.Y.
     """
     if mode not in ("paper", "exact"):
         raise ValueError(f"mode must be 'paper' or 'exact', got {mode!r}")
-    if graph.m == 0:
-        return state
     psi = gamma * graph.alpha / rho
     if mode == "paper" and np.any(psi >= 1.0):
         # step length psi must stay below 1/L = 1 for the one proximal-gradient
         # step to be a descent step on the per-edge objective
         raise ValueError("gamma * alpha / rho must stay below 1 for every edge")
-    q = edge_differences(state.Y, graph) - state.Lambda / rho
+    if diffs is None:
+        diffs = edge_differences(state.Y, graph)
+    q = diffs - state.Lambda / rho
     if mode == "exact":
-        norms = np.linalg.norm(q, axis=1)
-        scale = np.where(norms > psi, 1.0 - psi / np.maximum(norms, np.finfo(float).tiny), 0.0)
-        state.V = q * scale[:, None]
+        state.V = row_soft_threshold(q, psi)
     else:
         s = state.V - psi[:, None] * (state.V - q)
-        norms = np.linalg.norm(s, axis=1)
-        thresh = psi * psi
-        scale = np.where(norms > thresh, 1.0 - thresh / np.maximum(norms, np.finfo(float).tiny), 0.0)
-        state.V = s * scale[:, None]
+        state.V = row_soft_threshold(s, psi * psi)
     return state
 
 
-def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float) -> ScoringState:
-    """lambda_l <- lambda_l + rho (v_l - y_i + y_j); records the primal residual."""
-    if graph.m == 0:
-        state.primal_residual = 0.0
-        return state
-    resid = state.V - edge_differences(state.Y, graph)
+def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float,
+                  diffs=None) -> ScoringState:
+    """lambda_l <- lambda_l + rho (v_l - y_i + y_j); records the primal residual.
+
+    diffs, when given, are the edge differences of state.Y.
+    """
+    if diffs is None:
+        diffs = edge_differences(state.Y, graph)
+    resid = state.V - diffs
     state.Lambda = state.Lambda + rho * resid
-    state.primal_residual = float(np.max(np.linalg.norm(resid, axis=1)))
+    state.primal_residual = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
     return state
 
 
 def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
-                         gamma: float, rho: float) -> float:
+                         gamma: float, rho: float, diffs=None) -> float:
     """Value of the scoring subproblem's augmented Lagrangian.
 
     1/2 ||Y - W||_F^2 + gamma sum_l alpha_l ||v_l||
     + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2.
+    diffs, when given, are the edge differences of state.Y.
     """
     diff = state.Y - W
     val = 0.5 * float(np.sum(diff * diff))
-    if graph.m > 0:
-        resid = state.V - edge_differences(state.Y, graph)
-        val += gamma * float(graph.alpha @ np.linalg.norm(state.V, axis=1))
-        val += float(np.sum(state.Lambda * resid))
-        val += 0.5 * rho * float(np.sum(resid * resid))
+    if diffs is None:
+        diffs = edge_differences(state.Y, graph)
+    resid = state.V - diffs
+    val += gamma * float(graph.alpha @ np.linalg.norm(state.V, axis=1))
+    val += float(np.sum(state.Lambda * resid))
+    val += 0.5 * rho * float(np.sum(resid * resid))
     return val
 
 
@@ -262,16 +261,18 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     """
     W = check_matrix(W, "W")
     state.Q = state.Y.copy()
-    L_prev = augmented_lagrangian(W, state, graph, gamma, rho)
+    diffs = edge_differences(state.Y, graph)
+    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, diffs=diffs)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
     for _ in range(int(max_inner)):
-        D = assemble_D(W, state, graph, rho)
+        D = assemble_D(W, state, graph, rho, diffs=diffs)
         update_Y(state, D)
-        update_V(state, graph, gamma, rho, mode=v_mode)
-        update_Lambda(state, graph, rho)
-        L_new = augmented_lagrangian(W, state, graph, gamma, rho)
+        diffs = edge_differences(state.Y, graph)
+        update_V(state, graph, gamma, rho, mode=v_mode, diffs=diffs)
+        update_Lambda(state, graph, rho, diffs=diffs)
+        L_new = augmented_lagrangian(W, state, graph, gamma, rho, diffs=diffs)
         state.inner_objective.append(L_new)
         state.iterations += 1
         if L_prev - L_new < epsilon:

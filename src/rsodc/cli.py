@@ -125,16 +125,19 @@ def cmd_fit(args) -> int:
     threads = _threads(args)
     t0 = time.perf_counter()
     inst = _instance(X, args.k, args)
+    graph_s = 0.0
     if args.gamma == 0.0:
         fit = fit_sodc(inst, seed=args.seed)
         method = "sodc"
     else:
+        t_graph = time.perf_counter()
         try:
             graph = build_fusion_graph(X, args.tau,
                                        _clamped_delta(args.delta, X.shape[0]),
                                        args.rho)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        graph_s = time.perf_counter() - t_graph
         fit = fit_rsodc(inst, graph, seed=args.seed)
         method = "rsodc"
     elapsed = time.perf_counter() - t0
@@ -167,7 +170,8 @@ def cmd_fit(args) -> int:
         "inner_iterations": fit.inner_iterations,
         "diagnostics": fit.diagnostics,
         "manifest": _manifest(args, [args.csv], outputs,
-                              dict(fit.timings, command=elapsed), threads),
+                              dict(fit.timings, graph=graph_s, command=elapsed),
+                              threads),
     }
     write_json(os.path.join(args.out, "fit.json"), payload, "fit.schema.json")
     print(f"{method}: status={fit.status} objective={fit.objective_trace[-1]:.6g} "

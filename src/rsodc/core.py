@@ -17,6 +17,9 @@ RANK_TOL = 1e-12
 # Entries of an estimated coefficient row below this are treated as exact zeros.
 ZERO_TOL = 1e-12
 
+# Lanczos steps taken by top_eigenvalue_sym.
+LANCZOS_STEPS = 64
+
 
 def as_generator(seed) -> np.random.Generator:
     """Return a numpy Generator from an int seed, a SeedSequence, or a Generator."""
@@ -74,34 +77,51 @@ def thin_svd(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return L, sigma, Rt.T
 
 
-def top_eigenvalue_sym(C) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix.
+def top_eigenvalue_sym(C, n: int | None = None) -> float:
+    """Largest eigenvalue of a symmetric PSD operator.
 
-    Exact symmetric eigensolve for n <= 64; power iteration (tol 1e-10,
-    cap 5000) above that. Asymmetry beyond 1e-8 is a contract violation.
+    C is a dense symmetric matrix (asymmetry beyond 1e-8 is a contract
+    violation) or a function v -> C v on length-n vectors, with n given.
+    Runs min(n, LANCZOS_STEPS) Lanczos steps with full reorthogonalization
+    from a fixed-seed Gaussian start and returns the top eigenvalue of the
+    tridiagonal matrix. When the steps span the whole space the value is
+    exact up to rounding; otherwise it is a Ritz value, never above the
+    true eigenvalue.
     """
-    C = check_matrix(C, "C")
-    n, m = C.shape
-    if n != m:
-        raise ValueError(f"C must be square, got shape {C.shape}")
-    if np.max(np.abs(C - C.T)) > 1e-8:
-        raise ValueError("C must be symmetric")
-    if n <= 64:
-        return float(np.linalg.eigvalsh(C)[-1])
-    # power iteration with a deterministic start
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(5000):
-        w = C @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            return 0.0
-        v_new = w / norm
-        lam_new = float(v_new @ (C @ v_new))
-        if abs(lam_new - lam) <= 1e-10 * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
+    if callable(C):
+        if n is None or n < 1:
+            raise ValueError("a matvec operator needs its dimension n >= 1")
+        matvec = C
+    else:
+        C = check_matrix(C, "C")
+        n, cols = C.shape
+        if n != cols:
+            raise ValueError(f"C must be square, got shape {C.shape}")
+        if np.max(np.abs(C - C.T)) > 1e-8:
+            raise ValueError("C must be symmetric")
+        matvec = C.__matmul__
+    steps = min(int(n), LANCZOS_STEPS)
+    basis = np.zeros((steps, n))
+    diag = np.zeros(steps)
+    off = np.zeros(steps)
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    scale = 0.0
+    for k in range(steps):
+        basis[k] = v
+        w = np.asarray(matvec(v), dtype=float)
+        diag[k] = v @ w
+        span = basis[:k + 1]
+        for _ in range(2):  # twice is enough for full reorthogonalization
+            w -= span.T @ (span @ w)
+        off[k] = np.linalg.norm(w)
+        scale = max(scale, abs(diag[k]), off[k])
+        if off[k] <= 1e-12 * scale:
+            break  # the Krylov space is invariant: its eigenvalues are exact
+        v = w / off[k]
+    size = k + 1
+    T = np.diag(diag[:size]) + np.diag(off[:size - 1], 1) + np.diag(off[:size - 1], -1)
+    return float(np.linalg.eigvalsh(T)[-1])
 
 
 @dataclass

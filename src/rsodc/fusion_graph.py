@@ -1,11 +1,18 @@
 """Fusion graph: k-nearest-neighbor edges, Gaussian kernel weights, and the
-quadratic matrix C with its majorization constant omega.
+quadratic C with its majorization constant omega.
 
 Edges l = (i, j) with i < j carry weights
 alpha_{i,j} = indicator(kNN union) * exp(-tau * ||x_i - x_j||^2); pairs with
 alpha = 0 are excluded. C = (rho/2) * sum_l g_l g_l^T aggregates the plain
 incidence outer products WITHOUT the alpha weights: the weights enter the
 algorithm only through the per-edge shrinkage thresholds in the V step.
+
+The graph is held as its edge list. With G the n x m incidence matrix whose
+columns are the g_l, every product the solver needs is one of two O(m d)
+edge operations: the gather G^T Y (row differences y_i - y_j) and the
+scatter G T (row t_l added at i, subtracted at j). C Q = (rho/2) G G^T Q is
+a gather followed by a scatter; the dense C is only built when the `C`
+attribute is read.
 """
 
 from __future__ import annotations
@@ -23,10 +30,41 @@ OMEGA_FLOOR = 1e-12
 DEFAULT_TAU = 0.1
 DEFAULT_DELTA = 25
 
+# Rows of the distance matrix held at once while building the kNN indicator.
+KNN_BLOCK_ROWS = 256
+
+
+def edge_gather(Y: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """G^T Y: the row differences y_i - y_j for every edge (i, j), shape (m, d)."""
+    return np.take(Y, edges[:, 0], axis=0) - np.take(Y, edges[:, 1], axis=0)
+
+
+def edge_scatter(T: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
+    """G T = sum_l g_l t_l^T: row t_l added to row i and subtracted from row j.
+
+    T is (m, d) or (m,); the result is (n, d) or (n,).
+    """
+    i, j = edges[:, 0], edges[:, 1]
+    if T.ndim == 1:
+        return np.bincount(i, T, minlength=n) - np.bincount(j, T, minlength=n)
+    out = np.empty((n, T.shape[1]))
+    for c in range(T.shape[1]):
+        out[:, c] = np.bincount(i, T[:, c], minlength=n) - np.bincount(j, T[:, c], minlength=n)
+    return out
+
+
+def dense_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
+    """G G^T = sum_l g_l g_l^T as a dense n x n matrix (for inspection and
+    small dense solves only)."""
+    i, j = edges[:, 0], edges[:, 1]
+    flat = np.concatenate([i * (n + 1), j * (n + 1), i * n + j, j * n + i])
+    sign = np.repeat([1.0, -1.0], 2 * len(i))
+    return np.bincount(flat, sign, minlength=n * n).reshape(n, n)
+
 
 @dataclass
 class FusionGraph:
-    """Edge set with weights plus the assembled quadratic C and omega."""
+    """Edge set with weights, plus rho and omega once the quadratic is built."""
 
     edges: np.ndarray          # (m, 2) int array, each row (i, j) with i < j
     alpha: np.ndarray          # (m,) positive weights
@@ -34,12 +72,23 @@ class FusionGraph:
     tau: float
     delta: int
     rho: float | None = None
-    C: np.ndarray | None = None
     omega: float | None = None
 
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
+
+    def apply_C(self, Q: np.ndarray) -> np.ndarray:
+        """C Q in O(m d) through the edge list."""
+        return (self.rho / 2.0) * edge_scatter(edge_gather(Q, self.edges), self.edges, self.n)
+
+    @property
+    def C(self) -> np.ndarray | None:
+        """The dense n x n quadratic, built on each access; None before
+        build_quadratic. The solver never reads it."""
+        if self.rho is None:
+            return None
+        return (self.rho / 2.0) * dense_laplacian(self.edges, self.n)
 
 
 def knn_indicator(X, delta: int) -> np.ndarray:
@@ -47,21 +96,32 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     neighbors or i is among j's (union symmetrization).
 
     Distances are Euclidean over rows. Ties are broken by smaller index.
-    Requires 1 <= delta <= n - 1.
+    Requires 1 <= delta <= n - 1. Squared distances are formed
+    KNN_BLOCK_ROWS rows at a time.
     """
     X = check_matrix(X)
     n = X.shape[0]
     if not 1 <= delta <= n - 1:
         raise ValueError(f"delta must be in [1, n-1] = [1, {n - 1}], got {delta}")
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.fill_diagonal(d2, np.inf)
-    # stable argsort breaks distance ties by smaller column index
-    order = np.argsort(d2, axis=1, kind="stable")
     ind = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), delta)
-    ind[rows, order[:, :delta].ravel()] = True
-    return ind | ind.T
+    for r0 in range(0, n, KNN_BLOCK_ROWS):
+        r1 = min(r0 + KNN_BLOCK_ROWS, n)
+        d2 = sq[r0:r1, None] + sq[None, :] - 2.0 * (X[r0:r1] @ X.T)
+        d2[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+        kth = np.partition(d2, delta - 1, axis=1)[:, delta - 1:delta]
+        below = d2 < kth
+        tied = d2 == kth
+        room = delta - np.count_nonzero(below, axis=1)
+        # a stable sort of the row puts ties at the delta-th distance in index
+        # order: where more tie than there is room, the smallest indices get in
+        crowded = np.count_nonzero(tied, axis=1) > room
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
+        rows, cols = np.nonzero(below | tied)
+        rows += r0
+        ind[rows, cols] = True
+        ind[cols, rows] = True
+    return ind
 
 
 def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> FusionGraph:
@@ -75,13 +135,14 @@ def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> 
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     n = X.shape[0]
-    ind = knn_indicator(X, delta)
-    iu, ju = np.where(np.triu(ind, k=1))
-    diff = X[iu] - X[ju]
+    iu, ju = np.nonzero(knn_indicator(X, delta))
+    upper = iu < ju
+    edges = np.stack([iu[upper], ju[upper]], axis=1).astype(np.int64)
+    diff = edge_gather(X, edges)
     alpha = np.exp(-tau * np.sum(diff * diff, axis=1))
     keep = alpha > 0.0
-    edges = np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
-    return FusionGraph(edges=edges, alpha=alpha[keep], n=n, tau=float(tau), delta=int(delta))
+    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=n, tau=float(tau),
+                       delta=int(delta))
 
 
 def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
@@ -98,28 +159,19 @@ def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
 
 
 def build_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
-    """Fill in C = (rho/2) * sum_l g_l g_l^T and its majorization constant.
+    """Set rho for C = (rho/2) * sum_l g_l g_l^T and its majorization constant.
 
-    omega is the top eigenvalue of C inflated by (1 + 1e-8) so that
-    omega*I - C stays PSD under floating point; an empty edge set yields
-    C = 0 with omega floored at 1e-12.
+    omega is the top eigenvalue of C, found through C's edge matvec and
+    inflated by (1 + 1e-8) so that omega*I - C stays PSD under floating
+    point; an empty edge set (C = 0) floors omega at 1e-12.
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    n = graph.n
-    C = np.zeros((n, n))
+    graph.rho = float(rho)
     if graph.m > 0:
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
-        np.add.at(C, (i, i), 1.0)
-        np.add.at(C, (j, j), 1.0)
-        np.add.at(C, (i, j), -1.0)
-        np.add.at(C, (j, i), -1.0)
-        C *= rho / 2.0
-        omega = top_eigenvalue_sym(C) * (1.0 + 1e-8)
+        omega = top_eigenvalue_sym(graph.apply_C, n=graph.n) * (1.0 + 1e-8)
     else:
         omega = OMEGA_FLOOR
-    graph.rho = float(rho)
-    graph.C = C
     graph.omega = float(max(omega, OMEGA_FLOOR))
     return graph
 
@@ -131,7 +183,7 @@ def build_fusion_graph(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA,
 
 
 def restrict(graph: FusionGraph, keep: np.ndarray, rho: float) -> FusionGraph:
-    """Sub-graph on a boolean edge mask, with C and omega rebuilt."""
+    """Sub-graph on a boolean edge mask, with omega recomputed."""
     sub = FusionGraph(edges=graph.edges[keep], alpha=graph.alpha[keep],
                       n=graph.n, tau=graph.tau, delta=graph.delta)
     return build_quadratic(sub, rho)

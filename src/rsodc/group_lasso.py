@@ -100,6 +100,13 @@ def group_soft_threshold(phi, t: float) -> np.ndarray:
     return phi * (1.0 - t / norm)
 
 
+def row_soft_threshold(Z, t) -> np.ndarray:
+    """group_soft_threshold applied to every row of Z, row l at threshold t[l]."""
+    norms = np.linalg.norm(Z, axis=1)
+    scale = np.where(norms > t, 1.0 - t / np.maximum(norms, np.finfo(float).tiny), 0.0)
+    return Z * scale[:, None]
+
+
 def subproblem_objective(B, design: StackedDesign, eta1: float) -> float:
     """K(B) = 1/2 ||y* - Z vec(B)||^2 + eta1 * sum_j ||beta_j||_2.
 

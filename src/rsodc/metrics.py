@@ -39,8 +39,8 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
         raise ValueError("need at least 2 subjects")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1))
-    np.add.at(table, (ai, bi), 1.0)
+    rows, cols = ai.max() + 1, bi.max() + 1
+    table = np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols).astype(float)
 
     def comb2(x):
         return x * (x - 1.0) / 2.0

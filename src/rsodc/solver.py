@@ -33,9 +33,12 @@ from .fusion_graph import (
     FusionGraph,
     build_fusion_graph,
     build_quadratic,
+    dense_laplacian,
+    edge_gather,
+    edge_scatter,
     restrict,
 )
-from .group_lasso import build_stacked, clamp_step, solve_B
+from .group_lasso import build_stacked, clamp_step, row_soft_threshold, solve_B
 
 OBJECTIVE_SLACK = 1e-8
 
@@ -94,7 +97,7 @@ def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
 
 
 def _ensure_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
-    if graph.C is None or graph.omega is None or graph.rho != rho:
+    if graph.omega is None or graph.rho != rho:
         build_quadratic(graph, rho)
     return graph
 
@@ -120,8 +123,10 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         else:
             eff = restrict(graph, np.zeros(graph.m, dtype=bool), instance.rho)
         state = init_state(Y0, eff)
+        graph_diagnostics = {"omega": eff.omega, "edges": eff.m}
     else:
         eff = None
+        graph_diagnostics = {}
         state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)),
                              Q=Y0.copy())
 
@@ -200,6 +205,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             "degenerate_updates": state.degenerate_updates,
             "convergence_count": len(trace) - 1 + sum(inner_iterations),
             "kmeans_inertia": centroids.inertia,
+            **graph_diagnostics,
         },
     )
 
@@ -332,52 +338,29 @@ def convex_clustering(X, graph: FusionGraph, gamma: float, rho: float,
         merge labels numbered by first occurrence.
     """
     X = check_matrix(X, "X")
-    n, p = X.shape
+    n = X.shape[0]
     if gamma < 0 or rho <= 0:
         raise ValueError("gamma must be >= 0 and rho > 0")
+    edges = graph.edges
     M = X.copy()
-    if graph.m > 0:
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
-        V = M[i] - M[j]
-        Lam = np.zeros_like(V)
-        psi = gamma * graph.alpha / rho
-        A = np.eye(n)
-        np.add.at(A, (i, i), rho)
-        np.add.at(A, (j, j), rho)
-        np.add.at(A, (i, j), -rho)
-        np.add.at(A, (j, i), -rho)
-    else:
-        V = Lam = np.zeros((0, p))
-        psi = np.zeros(0)
-        A = np.eye(n)
+    V = edge_gather(M, edges)
+    Lam = np.zeros_like(V)
+    psi = gamma * graph.alpha / rho
+    A = np.eye(n) + rho * dense_laplacian(edges, n)
 
     def loss(Mcur):
         fid = 0.5 * float(np.sum((X - Mcur) ** 2))
-        if graph.m == 0:
-            return fid
-        diffs = np.linalg.norm(Mcur[i] - Mcur[j], axis=1)
+        diffs = np.linalg.norm(edge_gather(Mcur, edges), axis=1)
         return fid + gamma * float(graph.alpha @ diffs)
 
     prev_loss = loss(M)
     for _ in range(int(max_iter)):
-        rhs = X.copy()
-        if graph.m > 0:
-            T = Lam + rho * V
-            np.add.at(rhs, i, T)
-            np.subtract.at(rhs, j, T)
-        M = np.linalg.solve(A, rhs)
-        if graph.m > 0:
-            diff = M[i] - M[j]
-            Q = diff - Lam / rho
-            norms = np.linalg.norm(Q, axis=1)
-            scale = np.where(norms > psi,
-                             1.0 - psi / np.maximum(norms, np.finfo(float).tiny), 0.0)
-            V = Q * scale[:, None]
-            resid = V - diff
-            Lam = Lam + rho * resid
-            primal = float(np.max(np.linalg.norm(resid, axis=1)))
-        else:
-            primal = 0.0
+        M = np.linalg.solve(A, X + edge_scatter(Lam + rho * V, edges, n))
+        diff = edge_gather(M, edges)
+        V = row_soft_threshold(diff - Lam / rho, psi)
+        resid = V - diff
+        Lam = Lam + rho * resid
+        primal = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
         cur_loss = loss(M)
         if primal <= eps and abs(prev_loss - cur_loss) <= eps * max(1.0, abs(prev_loss)):
             break

@@ -216,3 +216,16 @@ def test_no_header_flag(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads((out / "fit.json").read_text())
     assert len(payload["labels"]) == 20
+
+
+def test_fit_manifest_times_the_graph_build(dataset, tmp_path):
+    data, _, _, _ = dataset
+    fused, plain = tmp_path / "fused", tmp_path / "plain"
+    common = ["--k", "3", "--eta1", "1.0", "--rho", "0.01", "--max-outer", "3"]
+    assert _run(["fit", str(data), "--gamma", "0.001", *common, "--out", str(fused)]) == 0
+    assert _run(["fit", str(data), "--gamma", "0", *common, "--out", str(plain)]) == 0
+    payload = json.loads((fused / "fit.json").read_text())
+    timings = payload["manifest"]["timings"]
+    assert 0.0 < timings["graph"] <= timings["command"]
+    assert payload["diagnostics"]["edges"] > 0 and payload["diagnostics"]["omega"] > 0
+    assert json.loads((plain / "fit.json").read_text())["manifest"]["timings"]["graph"] == 0.0

@@ -100,3 +100,18 @@ def test_problem_instance_validation():
         ProblemInstance(data=X, k=3, v_mode="fast")
     # the ratio filter only applies when the fusion term is active
     ProblemInstance(data=X, k=3, gamma=0.0, rho=0.01)
+
+
+def test_top_eigenvalue_takes_a_matvec_and_needs_its_dimension():
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 150):
+        G = rng.standard_normal((n, n))
+        C = G @ G.T
+        expect = float(np.linalg.eigvalsh(C)[-1])
+        got = top_eigenvalue_sym(lambda v: C @ v, n=n)
+        assert abs(got - expect) <= 1e-9 * max(1.0, expect)
+        # a Ritz value never exceeds the top eigenvalue by more than rounding
+        assert got <= expect * (1.0 + 1e-12)
+    assert top_eigenvalue_sym(np.zeros((70, 70))) == 0.0
+    with pytest.raises(ValueError):
+        top_eigenvalue_sym(lambda v: v)

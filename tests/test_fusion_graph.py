@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from rsodc.admm_scoring import init_state, inner_admm
+from rsodc.core import center_columns, thin_svd
+from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import (
+    KNN_BLOCK_ROWS,
     OMEGA_FLOOR,
     FusionGraph,
     build_fusion_graph,
     build_quadratic,
     compute_weights,
+    edge_gather,
+    edge_scatter,
     incidence_vector,
     knn_indicator,
     restrict,
@@ -106,3 +115,89 @@ def test_restrict_to_empty_mask_drops_all_edges():
     one = restrict(graph, keep, 0.05)
     assert one.m == 1
     np.testing.assert_array_equal(one.edges[0], graph.edges[0])
+
+
+# -- omega: a valid majorization constant ------------------------------------
+
+@pytest.mark.parametrize("n, theta, seed, delta, rho", [
+    (256, 2.2, 256, 25, 1.0),    # a start at ones/sqrt(n) collapsed to the floor
+    (1024, 2.2, 1024, 25, 1.0),
+    (90, 3.0, 5, 10, 0.01),      # a loose stopping rule ended 2e-8 short
+])
+def test_omega_bounds_the_top_eigenvalue_of_C(n, theta, seed, delta, rho):
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=theta, xi=0.5, seed=seed))
+    graph = build_fusion_graph(X, 0.1, delta, rho)
+    top = float(np.linalg.eigvalsh(graph.C)[-1])
+    assert top <= graph.omega <= top * (1.0 + 1e-6)
+
+
+# -- kNN: the stable-argsort tie rule across row blocks ----------------------
+
+def _dense_knn_reference(X, delta: int) -> np.ndarray:
+    # one dense distance matrix and a stable argsort of every row
+    n = X.shape[0]
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    ind = np.zeros((n, n), dtype=bool)
+    ind[np.repeat(np.arange(n), delta), order[:, :delta].ravel()] = True
+    return ind | ind.T
+
+
+@pytest.mark.parametrize("delta", [1, 3, 6, 10])
+def test_knn_indicator_keeps_the_tie_rule_across_row_blocks(delta):
+    # integer grid points: distances are exact and tie in large groups
+    side = 20
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+    X = grid[np.random.default_rng(4).permutation(side * side)].astype(float)
+    assert X.shape[0] > KNN_BLOCK_ROWS
+    np.testing.assert_array_equal(knn_indicator(X, delta), _dense_knn_reference(X, delta))
+
+
+# -- the edge operator ---------------------------------------------------------
+
+def test_edge_operator_reproduces_C():
+    X, _ = generate(SimulationConfig(n=120, p=20, k=3, theta=2.5, xi=0.5, seed=9))
+    rho = 0.3
+    graph = build_fusion_graph(X, 0.1, 7, rho)
+    Q = np.random.default_rng(5).standard_normal((120, 3))
+    C = graph.C
+    via_edges = (rho / 2.0) * edge_scatter(edge_gather(Q, graph.edges), graph.edges, 120)
+    np.testing.assert_allclose(via_edges, C @ Q, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(graph.apply_C(Q), C @ Q, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(graph.apply_C(Q[:, 0]), C @ Q[:, 0], rtol=0, atol=1e-12)
+    # the scatter is the sum of g_l t_l^T over edges
+    T = np.random.default_rng(6).standard_normal((graph.m, 3))
+    expect = sum(np.outer(incidence_vector(tuple(e), 120), t) for e, t in zip(graph.edges, T))
+    np.testing.assert_allclose(edge_scatter(T, graph.edges, 120), expect, atol=1e-12)
+
+
+def test_edge_operator_on_the_empty_graph():
+    empty = build_quadratic(FusionGraph(edges=np.zeros((0, 2), dtype=np.int64),
+                                        alpha=np.zeros(0), n=4, tau=0.1, delta=2), 0.5)
+    Q = np.arange(8.0).reshape(4, 2)
+    assert edge_gather(Q, empty.edges).shape == (0, 2)
+    np.testing.assert_array_equal(edge_scatter(np.zeros((0, 2)), empty.edges, 4),
+                                  np.zeros((4, 2)))
+    np.testing.assert_array_equal(empty.apply_C(Q), np.zeros((4, 2)))
+
+
+def test_graph_build_and_inner_admm_never_hold_an_n_by_n_float():
+    n, d = 5000, 2
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
+    Xc = center_columns(X)
+    L, _, _ = thin_svd(Xc)
+    W = Xc @ np.random.default_rng(0).standard_normal((20, d))
+    tracemalloc.start()
+    try:
+        graph = build_fusion_graph(X, 0.1, 25, 0.01)
+        state = init_state(L[:, :d], graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inner_admm(W, state, graph, gamma=0.001, rho=0.01, max_inner=3, v_mode="exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.iterations >= 1
+    assert peak < 8 * n * n

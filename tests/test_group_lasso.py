@@ -10,6 +10,7 @@ from rsodc.group_lasso import (
     build_stacked,
     clamp_step,
     group_soft_threshold,
+    row_soft_threshold,
     solve_B,
     subproblem_objective,
     update_B,
@@ -101,3 +102,14 @@ def test_large_eta1_zeroes_everything():
 def test_active_set_indices():
     B = np.array([[0.0, 0.0], [1e-13, 0.0], [0.5, 0.0], [0.0, -2.0]])
     np.testing.assert_array_equal(active_set(B), [2, 3])
+
+
+def test_row_soft_threshold_shrinks_each_row_like_the_vector_rule():
+    rng = np.random.default_rng(11)
+    Z = rng.standard_normal((40, 3))
+    t = rng.uniform(0.0, 2.5, 40)
+    Z[0] = 0.0
+    out = row_soft_threshold(Z, t)
+    for row, thresh, got in zip(Z, t, out):
+        np.testing.assert_allclose(got, group_soft_threshold(row, thresh), rtol=1e-14, atol=0)
+    assert np.all(out[np.linalg.norm(Z, axis=1) <= t] == 0.0)

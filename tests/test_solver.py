@@ -172,3 +172,19 @@ def test_tandem_baseline_shapes_and_recovery():
     assert adjusted_rand_index(truth, fit.labels) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         tandem_baseline(X, 4)  # k - 1 exceeds the data dimension
+
+
+def test_fit_rsodc_reports_omega_and_edge_count():
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.5, xi=0.5, seed=2))
+    graph = build_fusion_graph(X, tau=0.1, delta=5, rho=0.01)
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01, max_outer=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_rsodc(inst, graph, seed=0)
+        fused_off = fit_rsodc(ProblemInstance(data=X, k=3, eta1=1.0, max_outer=3),
+                              graph, seed=0)
+    assert fit.diagnostics["omega"] == graph.omega
+    assert graph.m > 0
+    assert fit.diagnostics["edges"] == graph.m
+    # gamma = 0 runs the scoring step on the empty edge set
+    assert fused_off.diagnostics["edges"] == 0
