@@ -14,7 +14,8 @@ import sys
 import time
 import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from ._io import (
     write_rows_csv,
 )
 from ._svg import scatter_svg
-from .core import ProblemInstance, child_seed
+from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
 from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph
 from .metrics import (
@@ -57,28 +58,12 @@ def _threads(args) -> int:
     return 1
 
 
-def _pool_map(items, fn, threads: int) -> list:
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _float_list(text: str, flag: str) -> tuple:
+def _parse_list(text: str, flag: str, cast) -> tuple:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(cast(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise InputError(f"{flag} expects comma-separated numbers, got {text!r}")
-    if not values:
-        raise InputError(f"{flag} is empty")
-    return values
-
-
-def _int_list(text: str, flag: str) -> tuple:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise InputError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise InputError(f"{flag} expects comma-separated {cast.__name__} values, "
+                         f"got {text!r}")
     if not values:
         raise InputError(f"{flag} is empty")
     return values
@@ -120,26 +105,27 @@ def _clamped_delta(delta: int, n: int) -> int:
     return delta
 
 
+def _fit_model(X, args, seed):
+    """Fit the model args describe: sodc when gamma = 0, else rsodc on the
+    kNN fusion graph of X. Returns (method, fit, graph-build seconds)."""
+    inst = _instance(X, args.k, args)
+    if args.gamma == 0.0:
+        return "sodc", fit_sodc(inst, seed=seed), 0.0
+    t_graph = time.perf_counter()
+    try:
+        graph = build_fusion_graph(X, args.tau, _clamped_delta(args.delta, X.shape[0]),
+                                   args.rho)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    graph_s = time.perf_counter() - t_graph
+    return "rsodc", fit_rsodc(inst, graph, seed=seed), graph_s
+
+
 def cmd_fit(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
     threads = _threads(args)
     t0 = time.perf_counter()
-    inst = _instance(X, args.k, args)
-    graph_s = 0.0
-    if args.gamma == 0.0:
-        fit = fit_sodc(inst, seed=args.seed)
-        method = "sodc"
-    else:
-        t_graph = time.perf_counter()
-        try:
-            graph = build_fusion_graph(X, args.tau,
-                                       _clamped_delta(args.delta, X.shape[0]),
-                                       args.rho)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        graph_s = time.perf_counter() - t_graph
-        fit = fit_rsodc(inst, graph, seed=args.seed)
-        method = "rsodc"
+    method, fit, graph_s = _fit_model(X, args, args.seed)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -179,21 +165,27 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _weight_grid(args, repeats: int = 10):
+    """(ParamGrid, combos) from the --grid-* flags; a grid with no usable
+    combination is an input error."""
+    try:
+        grid = ParamGrid(
+            eta1_candidates=_parse_list(args.grid_eta1, "--grid-eta1", float),
+            gamma_candidates=_parse_list(args.grid_gamma, "--grid-gamma", float),
+            rho_candidates=_parse_list(args.grid_rho, "--grid-rho", float),
+            repeats=repeats)
+        return grid, grid.combos
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_tune(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
     threads = _threads(args)
-    try:
-        grid = ParamGrid(
-            eta1_candidates=_float_list(args.grid_eta1, "--grid-eta1"),
-            gamma_candidates=_float_list(args.grid_gamma, "--grid-gamma"),
-            rho_candidates=_float_list(args.grid_rho, "--grid-rho"),
-            repeats=args.repeats)
-        combos = grid.combos
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    grid, combos = _weight_grid(args, args.repeats)
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         best, table = stability_cv(X, args.k, grid, tau=args.tau, delta=args.delta,
                                    seed=args.seed, eta2=args.eta2, nu=args.nu,
                                    epsilon=args.epsilon, max_outer=args.max_outer,
@@ -208,32 +200,42 @@ def cmd_tune(args) -> int:
     rows = [[row["eta1"], row["gamma"], row["rho"], row["mean_kappa"],
              row["failures"]] + row["kappas"] for row in table]
     write_rows_csv(os.path.join(args.out, "cv_table.csv"), header, rows)
-    payload = dict(best)
+    payload = dict(best, warnings=len(caught))
     payload["manifest"] = _manifest(args, [args.csv], outputs,
                                     {"command": elapsed}, threads)
     write_json(os.path.join(args.out, "best_params.json"), payload,
                "best_params.schema.json")
     print(f"best of {len(combos)} combos: eta1={best['eta1']} gamma={best['gamma']} "
-          f"rho={best['rho']} mean_kappa={best['mean_kappa']:.4f} -> {args.out}/")
+          f"rho={best['rho']} mean_kappa={best['mean_kappa']:.4f}, "
+          f"{len(caught)} warnings -> {args.out}/")
     return 0
+
+
+def _k_candidates(args) -> range:
+    if args.k_min < 2 or args.k_max < args.k_min:
+        raise InputError("need 2 <= k-min <= k-max")
+    return range(args.k_min, args.k_max + 1)
+
+
+def _select_k(X, ks, args, seed, **options):
+    """select_k_by_gap over ks with the solver settings in args."""
+    return select_k_by_gap(
+        X, ks, eta1=args.eta1, eta2=args.eta2, gamma=args.gamma, rho=args.rho,
+        nu=args.nu, tau=args.tau, delta=args.delta, epsilon=args.epsilon,
+        max_outer=args.max_outer, max_inner=args.max_inner, v_mode=args.v_mode,
+        mc_samples=args.mc_samples, seed=seed, **options)
 
 
 def cmd_select_k(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
     threads = _threads(args)
-    if args.k_min < 2 or args.k_max < args.k_min:
-        raise InputError("need 2 <= k-min <= k-max")
+    ks = _k_candidates(args)
     t0 = time.perf_counter()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            chosen, curve, _ = select_k_by_gap(
-                X, range(args.k_min, args.k_max + 1), eta1=args.eta1,
-                eta2=args.eta2, gamma=args.gamma, rho=args.rho, nu=args.nu,
-                tau=args.tau, delta=args.delta, epsilon=args.epsilon,
-                max_outer=args.max_outer, max_inner=args.max_inner,
-                v_mode=args.v_mode, mc_samples=args.mc_samples,
-                restarts=args.restarts, seed=args.seed, threads=threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chosen, curve, _ = _select_k(X, ks, args, args.seed,
+                                         restarts=args.restarts, threads=threads)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     elapsed = time.perf_counter() - t0
@@ -249,12 +251,14 @@ def cmd_select_k(args) -> int:
         "k_candidates": curve.k_candidates,
         "gap": curve.gap,
         "se": curve.se,
+        "warnings": len(caught),
         "manifest": _manifest(args, [args.csv], outputs,
                               {"command": elapsed}, threads),
     }
     write_json(os.path.join(args.out, "chosen_k.json"), payload,
                "chosen_k.schema.json")
-    print(f"chosen k = {chosen} over candidates {curve.k_candidates} -> {args.out}/")
+    print(f"chosen k = {chosen} over candidates {curve.k_candidates}, "
+          f"{len(caught)} warnings -> {args.out}/")
     return 0
 
 
@@ -267,24 +271,121 @@ def _sim_config(args, seed) -> SimulationConfig:
         raise InputError(str(exc)) from exc
 
 
-def _sim_fit(X, truth, args, eta1, gamma, rho, tau, delta, seed):
-    inst = ProblemInstance(data=X, k=args.k, eta1=eta1, eta2=args.eta2,
-                           gamma=gamma, rho=rho, nu=args.nu,
-                           epsilon=args.epsilon, max_outer=args.max_outer,
-                           max_inner=args.max_inner, v_mode=args.v_mode)
+def _replicate_fit(args, data, r, changes) -> dict:
+    """Designs 1, 2, 4 and 5: fit replicate r's data with args updated by
+    changes, or with the tandem baseline when changes["method"] says so."""
+    X, truth = data
+    seed = child_seed(args.seed, 22, r)
     t0 = time.perf_counter()
-    if gamma == 0.0:
-        fit = fit_sodc(inst, seed=seed)
+    if changes.get("method") == "tandem":
+        fit = tandem_baseline(X, args.k, seed=seed)
     else:
-        graph = build_fusion_graph(X, tau, min(delta, X.shape[0] - 1), rho)
-        fit = fit_rsodc(inst, graph, seed=seed)
+        fit = _fit_model(X, argparse.Namespace(**dict(vars(args), **changes)), seed)[1]
     seconds = time.perf_counter() - t0
-    ari = adjusted_rand_index(truth, fit.labels)
-    return fit, ari, seconds
+    sensitivity, specificity = sensitivity_specificity(fit.B_hat, range(1, args.q + 1),
+                                                       args.k)
+    return dict(changes, replicate=r, seconds=seconds, status=fit.status,
+                ari=float(adjusted_rand_index(truth, fit.labels)),
+                outer_iters=fit.outer_iters, sensitivity=sensitivity,
+                specificity=specificity,
+                convergence_count=fit.diagnostics.get("convergence_count", 0))
 
 
-def _median(values) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
+def _replicate_select_k(args, data, r, ks) -> dict:
+    """Design 3: the gap-statistic choice of k on replicate r's data."""
+    seed = child_seed(args.seed, 22, r).generate_state(1)[0].item()
+    chosen, _, _ = _select_k(data[0], ks, args, seed, threads=1)
+    return {"replicate": r, "true_k": args.k, "chosen_k": chosen}
+
+
+STATISTICS = {
+    "median": lambda values: float(np.median(np.asarray(values, dtype=float))),
+    "mean": lambda values: float(np.mean(values)),
+    "sd": lambda values: float(np.std(values, ddof=0)),
+}
+
+
+def _summary(column: str, rows: list):
+    """One aggregate.csv value for a group of rows: the group size for
+    "replicates" and "count", STATISTICS[stat] of replicates.csv column c
+    for "<stat>_<c>", otherwise the value the rows share in that column."""
+    if column in ("replicates", "count"):
+        return len(rows)
+    stat, _, source = column.partition("_")
+    if stat in STATISTICS:
+        return STATISTICS[stat]([row[source] for row in rows])
+    return rows[0][column]
+
+
+@dataclass(frozen=True)
+class Design:
+    """One simulation design: what a replicate runs and how rows aggregate.
+
+    replicate(args, (X, truth), r, variant) returns one row as a dict, and
+    columns picks the replicates.csv header from it. Rows with equal values
+    in the group columns make one aggregate.csv row: those values, then one
+    _summary per summary column.
+    """
+
+    replicate: Callable
+    columns: tuple
+    group: tuple
+    summary: tuple
+    one_dataset: bool = False  # every replicate refits replicate 0's draw
+    sort_groups: bool = False  # aggregate rows by group value, not first appearance
+
+
+DESIGNS = {
+    1: Design(_replicate_fit,
+              ("replicate", "method", "ari", "seconds", "outer_iters",
+               "convergence_count", "status"),
+              ("method",), ("median_ari", "mean_ari", "median_seconds", "replicates")),
+    2: Design(_replicate_fit,
+              ("replicate", "eta1", "gamma", "rho", "ari", "seconds", "status"),
+              ("eta1", "gamma", "rho"), ("median_ari", "mean_ari", "replicates")),
+    3: Design(_replicate_select_k, ("replicate", "true_k", "chosen_k"),
+              ("chosen_k",), ("count", "true_k"), sort_groups=True),
+    4: Design(_replicate_fit,
+              ("replicate", "tau", "delta", "ari", "sensitivity", "specificity",
+               "seconds", "convergence_count", "status"),
+              ("tau", "delta"),
+              ("median_ari", "median_sensitivity", "median_specificity",
+               "median_convergence_count", "replicates")),
+    5: Design(_replicate_fit,
+              ("replicate", "ari", "seconds", "convergence_count", "status"), (),
+              ("median_ari", "mean_ari", "sd_ari", "median_convergence_count",
+               "replicates"),
+              one_dataset=True),
+}
+
+
+def _variants(args) -> list:
+    """What each replicate sweeps: the three methods (design 1), the weight
+    combos (2), the candidate k range (3), the (tau, delta) grid (4), or one
+    fit at the given settings (5)."""
+    if args.design == 1:
+        return [{"method": "rsodc"}, {"method": "sodc", "gamma": 0.0},
+                {"method": "tandem"}]
+    if args.design == 2:
+        _, combos = _weight_grid(args)
+        return [{"eta1": e, "gamma": g, "rho": r} for e, g, r in combos]
+    if args.design == 3:
+        return [_k_candidates(args)]
+    if args.design == 4:
+        return [{"tau": tau, "delta": delta}
+                for tau in _parse_list(args.grid_tau, "--grid-tau", float)
+                for delta in _parse_list(args.grid_delta, "--grid-delta", int)]
+    return [{}]
+
+
+def _aggregate(design: Design, rows) -> list:
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[c] for c in design.group), []).append(row)
+    keys = sorted(groups) if design.sort_groups else list(groups)
+    return [dict(zip(design.group, key),
+                 **{col: _summary(col, groups[key]) for col in design.summary})
+            for key in keys]
 
 
 def cmd_simulate(args) -> int:
@@ -292,197 +393,45 @@ def cmd_simulate(args) -> int:
     reps = args.replicates
     if reps < 1:
         raise InputError("--replicates must be >= 1")
+    design = DESIGNS[args.design]
+    variants = _variants(args)
     t0 = time.perf_counter()
-    failures = []
-
-    def guarded(fn, item):
-        try:
-            return fn(item)
-        except Exception as exc:
-            failures.append(f"{item}: {exc}")
-            warnings.warn(f"replicate item {item} failed: {exc}", RuntimeWarning)
-            return None
-
-    # all designs draw one dataset per replicate from the same stream
-    datasets = None
-    if args.design in (1, 2, 4):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # replicate r draws its dataset from the stream (seed, 21, r)
         datasets = [generate(_sim_config(args, child_seed(args.seed, 21, r)))
-                    for r in range(reps)]
-    elif args.design == 5:
-        datasets = [generate(_sim_config(args, child_seed(args.seed, 21, 0)))]
+                    for r in range(1 if design.one_dataset else reps)]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if args.design == 1:
-            rep_header = ["replicate", "method", "ari", "seconds",
-                          "outer_iters", "convergence_count"]
+        def replicate(item):
+            r, variant = item
+            return design.replicate(args, datasets[r % len(datasets)], r, variant)
 
-            def run1(item):
-                r, method = item
-                X, truth = datasets[r]
-                seed = child_seed(args.seed, 22, r)
-                if method == "tandem":
-                    t1 = time.perf_counter()
-                    fit = tandem_baseline(X, args.k, seed=seed)
-                    sec = time.perf_counter() - t1
-                    ari = adjusted_rand_index(truth, fit.labels)
-                else:
-                    gamma = args.gamma if method == "rsodc" else 0.0
-                    fit, ari, sec = _sim_fit(X, truth, args, args.eta1, gamma,
-                                             args.rho, args.tau, args.delta, seed)
-                cc = fit.diagnostics.get("convergence_count", 0)
-                return [r, method, float(ari), sec, fit.outer_iters, cc]
-
-            items = [(r, m) for r in range(reps)
-                     for m in ("rsodc", "sodc", "tandem")]
-            rows = [x for x in _pool_map(items, lambda it: guarded(run1, it),
-                                         threads) if x is not None]
-            aggregate = []
-            for m in ("rsodc", "sodc", "tandem"):
-                aris = [row[2] for row in rows if row[1] == m]
-                secs = [row[3] for row in rows if row[1] == m]
-                if aris:
-                    aggregate.append({"method": m, "median_ari": _median(aris),
-                                      "mean_ari": float(np.mean(aris)),
-                                      "median_seconds": _median(secs),
-                                      "replicates": len(aris)})
-            agg_header = ["method", "median_ari", "mean_ari", "median_seconds",
-                          "replicates"]
-
-        elif args.design == 2:
-            grid = ParamGrid(eta1_candidates=_float_list(args.grid_eta1, "--grid-eta1"),
-                             gamma_candidates=_float_list(args.grid_gamma, "--grid-gamma"),
-                             rho_candidates=_float_list(args.grid_rho, "--grid-rho"))
-            combos = grid.combos
-            rep_header = ["replicate", "eta1", "gamma", "rho", "ari", "seconds"]
-
-            def run2(item):
-                r, (eta1, gamma, rho) = item
-                X, truth = datasets[r]
-                _, ari, sec = _sim_fit(X, truth, args, eta1, gamma, rho,
-                                       args.tau, args.delta,
-                                       child_seed(args.seed, 22, r))
-                return [r, eta1, gamma, rho, float(ari), sec]
-
-            items = [(r, c) for r in range(reps) for c in combos]
-            rows = [x for x in _pool_map(items, lambda it: guarded(run2, it),
-                                         threads) if x is not None]
-            aggregate = []
-            for eta1, gamma, rho in combos:
-                aris = [row[4] for row in rows
-                        if (row[1], row[2], row[3]) == (eta1, gamma, rho)]
-                if aris:
-                    aggregate.append({"eta1": eta1, "gamma": gamma, "rho": rho,
-                                      "median_ari": _median(aris),
-                                      "mean_ari": float(np.mean(aris)),
-                                      "replicates": len(aris)})
-            agg_header = ["eta1", "gamma", "rho", "median_ari", "mean_ari",
-                          "replicates"]
-
-        elif args.design == 3:
-            rep_header = ["replicate", "true_k", "chosen_k"]
-
-            def run3(r):
-                X, _ = generate(_sim_config(args, child_seed(args.seed, 21, r)))
-                chosen, _, _ = select_k_by_gap(
-                    X, range(args.k_min, args.k_max + 1), eta1=args.eta1,
-                    eta2=args.eta2, gamma=args.gamma, rho=args.rho, nu=args.nu,
-                    tau=args.tau, delta=args.delta, epsilon=args.epsilon,
-                    max_outer=args.max_outer, max_inner=args.max_inner,
-                    v_mode=args.v_mode, mc_samples=args.mc_samples,
-                    seed=child_seed(args.seed, 22, r).generate_state(1)[0].item(),
-                    threads=1)
-                return [r, args.k, chosen]
-
-            rows = [x for x in _pool_map(list(range(reps)),
-                                         lambda it: guarded(run3, it), threads)
-                    if x is not None]
-            counts = {}
-            for row in rows:
-                counts[row[2]] = counts.get(row[2], 0) + 1
-            aggregate = [{"chosen_k": k, "count": c, "true_k": args.k}
-                         for k, c in sorted(counts.items())]
-            agg_header = ["chosen_k", "count", "true_k"]
-
-        elif args.design == 4:
-            taus = _float_list(args.grid_tau, "--grid-tau")
-            deltas = _int_list(args.grid_delta, "--grid-delta")
-            informative = tuple(range(1, args.q + 1))
-            rep_header = ["replicate", "tau", "delta", "ari", "sensitivity",
-                          "specificity", "seconds", "convergence_count"]
-
-            def run4(item):
-                r, tau, delta = item
-                X, truth = datasets[r]
-                fit, ari, sec = _sim_fit(X, truth, args, args.eta1, args.gamma,
-                                         args.rho, tau, delta,
-                                         child_seed(args.seed, 22, r))
-                sens, spec = sensitivity_specificity(fit.B_hat, informative, args.k)
-                cc = fit.diagnostics.get("convergence_count", 0)
-                return [r, tau, delta, float(ari), sens, spec, sec, cc]
-
-            items = [(r, tau, delta) for r in range(reps)
-                     for tau in taus for delta in deltas]
-            rows = [x for x in _pool_map(items, lambda it: guarded(run4, it),
-                                         threads) if x is not None]
-            aggregate = []
-            for tau in taus:
-                for delta in deltas:
-                    sub = [row for row in rows if (row[1], row[2]) == (tau, delta)]
-                    if sub:
-                        aggregate.append({
-                            "tau": tau, "delta": delta,
-                            "median_ari": _median([r[3] for r in sub]),
-                            "median_sensitivity": _median([r[4] for r in sub]),
-                            "median_specificity": _median([r[5] for r in sub]),
-                            "median_convergence_count": _median([r[7] for r in sub]),
-                            "replicates": len(sub)})
-            agg_header = ["tau", "delta", "median_ari", "median_sensitivity",
-                          "median_specificity", "median_convergence_count",
-                          "replicates"]
-
-        elif args.design == 5:
-            rep_header = ["replicate", "ari", "seconds", "convergence_count"]
-            X, truth = datasets[0]
-
-            def run5(r):
-                fit, ari, sec = _sim_fit(X, truth, args, args.eta1, args.gamma,
-                                         args.rho, args.tau, args.delta,
-                                         child_seed(args.seed, 22, r))
-                cc = fit.diagnostics.get("convergence_count", 0)
-                return [r, float(ari), sec, cc]
-
-            rows = [x for x in _pool_map(list(range(reps)),
-                                         lambda it: guarded(run5, it), threads)
-                    if x is not None]
-            aris = [row[1] for row in rows]
-            aggregate = [{"median_ari": _median(aris),
-                          "mean_ari": float(np.mean(aris)),
-                          "sd_ari": float(np.std(aris, ddof=0)),
-                          "median_convergence_count": _median([r[3] for r in rows]),
-                          "replicates": len(rows)}] if aris else []
-            agg_header = ["median_ari", "mean_ari", "sd_ari",
-                          "median_convergence_count", "replicates"]
-        else:
-            raise InputError(f"unknown design {args.design}")
+        results = parallel_map(replicate, [(r, v) for r in range(reps) for v in variants],
+                               threads)
+    rows = [row for row in results if row is not None]
+    failures = len(results) - len(rows)
+    aggregate = _aggregate(design, rows)
+    agg_header = design.group + design.summary
 
     elapsed = time.perf_counter() - t0
     os.makedirs(args.out, exist_ok=True)
     outputs = ["replicates.csv", "aggregate.csv", "simulate.json"]
-    write_rows_csv(os.path.join(args.out, "replicates.csv"), rep_header, rows)
+    write_rows_csv(os.path.join(args.out, "replicates.csv"), design.columns,
+                   [[row[c] for c in design.columns] for row in rows])
     write_rows_csv(os.path.join(args.out, "aggregate.csv"), agg_header,
                    [[row[h] for h in agg_header] for row in aggregate])
     payload = {
         "design": args.design,
         "replicates": reps,
         "aggregate": aggregate,
-        "failures": len(failures),
+        "failures": failures,
+        "warnings": len(caught),
         "manifest": _manifest(args, [], outputs, {"command": elapsed}, threads),
     }
     write_json(os.path.join(args.out, "simulate.json"), payload,
                "simulate.schema.json")
-    print(f"design {args.design}: {len(rows)} rows, {len(failures)} failures "
-          f"-> {args.out}/")
+    print(f"design {args.design}: {len(rows)} rows, {failures} failures, "
+          f"{len(caught)} warnings -> {args.out}/")
     return 0
 
 
@@ -509,7 +458,7 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:
             warnings.warn(f"{key} unavailable: {exc}", RuntimeWarning)
     if args.informative:
-        idx = _int_list(args.informative, "--informative")
+        idx = _parse_list(args.informative, "--informative", int)
         try:
             sens, spec = sensitivity_specificity(
                 np.asarray(fit["b_hat"], dtype=float), idx, int(fit["k"]))

@@ -1,4 +1,5 @@
-"""Shared numeric primitives: centering, decompositions, RNG plumbing.
+"""Shared numeric primitives: centering, decompositions, RNG plumbing and
+the parallel map that runs independent work items.
 
 Every other module builds on the three contracts here: column centering
 (applied implicitly, the n x n centering matrix is never materialized),
@@ -7,6 +8,8 @@ thin SVD, and the top eigenvalue of a symmetric PSD matrix.
 
 from __future__ import annotations
 
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,27 @@ def child_seed(seed: int, *tags: int) -> np.random.SeedSequence:
     parallel and serial runs of the same campaign produce identical numbers.
     """
     return np.random.SeedSequence([int(seed)] + [int(t) for t in tags])
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """[fn(item) for item in items], in order; a failed item yields None.
+
+    Each item that raises is reported by one RuntimeWarning, so callers
+    count failures from the Nones. With threads > 1 the items run on a
+    thread pool; seeding each item from child_seed keeps the results
+    independent of scheduling.
+    """
+    def guarded(item):
+        try:
+            return fn(item)
+        except Exception as exc:
+            warnings.warn(f"{fn.__name__} failed on {item!r}: {exc}", RuntimeWarning)
+            return None
+
+    if threads <= 1:
+        return [guarded(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(guarded, items))
 
 
 def check_matrix(X, name: str = "X") -> np.ndarray:

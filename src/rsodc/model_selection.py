@@ -10,13 +10,11 @@ draws from its bounding box.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, thin_svd
+from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, parallel_map, thin_svd
 from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph
 from .solver import fit_rsodc, kmeans
 
@@ -92,13 +90,6 @@ def kappa(a, b) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def _run_items(items, fn, threads: int) -> list:
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
                  delta: int = DEFAULT_DELTA, seed: int = 0, eta2: float = 0.0,
                  nu: float = 0.001, epsilon: float = 1e-6, max_outer: int = 100,
@@ -129,9 +120,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
         perm = np.random.default_rng(child_seed(seed, 2, r)).permutation(n)
         splits.append((np.sort(perm[:half]), np.sort(perm[half:])))
 
-    failures = np.zeros(len(combos), dtype=int)
-
-    def run(item):
+    def split_kappa(item):
         ci, r = item
         eta1, gamma, rho = combos[ci]
         inds = []
@@ -146,19 +135,11 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
 
-    def safe(item):
-        try:
-            return run(item)
-        except Exception as exc:
-            ci, r = item
-            failures[ci] += 1
-            warnings.warn(f"cv fit failed for combo {combos[ci]} split {r}: {exc}",
-                          RuntimeWarning)
-            return -1.0
-
     items = [(ci, r) for ci in range(len(combos)) for r in range(grid.repeats)]
-    values = np.asarray(_run_items(items, safe, threads))
-    kappas = values.reshape(len(combos), grid.repeats)
+    values = parallel_map(split_kappa, items, threads)
+    failed = np.array([v is None for v in values]).reshape(len(combos), grid.repeats)
+    kappas = np.array([-1.0 if v is None else v for v in values]).reshape(failed.shape)
+    failures = failed.sum(axis=1)
     means = kappas.mean(axis=1)
 
     table = []
@@ -199,7 +180,9 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
     draws from the bounding box of `points` (reference="pca" aligns the box
     with the principal axes first); W is the k-means within-cluster sum of
     squares, floored at 1e-12 before the log. se(k) is the reference
-    standard deviation scaled by sqrt(1 + 1/mc_samples).
+    standard deviation scaled by sqrt(1 + 1/mc_samples). Each k draws its
+    own references from the streams (seed, 8, k, b), so the values for one
+    k do not depend on which other candidates are in k_range.
     """
     P = check_matrix(points, "points")
     n, p = P.shape
@@ -219,19 +202,18 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
         frame = P
     lo, hi = frame.min(axis=0), frame.max(axis=0)
 
-    log_w = np.array([_log_dispersion(P, k, restarts, child_seed(seed, 7, k))
-                      for k in ks])
-    log_w_ref = np.empty((mc_samples, len(ks)))
-    for b in range(mc_samples):
-        rng_b = np.random.default_rng(child_seed(seed, 8, b))
-        draw = lo + rng_b.random((n, p)) * (hi - lo)
-        if reference == "pca":
-            draw = draw @ R.T + mu
-        for idx, k in enumerate(ks):
-            log_w_ref[b, idx] = _log_dispersion(draw, k, restarts,
-                                                child_seed(seed, 9, b, k))
-    gap = log_w_ref.mean(axis=0) - log_w
-    se = log_w_ref.std(axis=0, ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
+    gap = np.empty(len(ks))
+    se = np.empty(len(ks))
+    for idx, k in enumerate(ks):
+        refs = np.empty(mc_samples)
+        for b in range(mc_samples):
+            rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
+            draw = lo + rng_b.random((n, p)) * (hi - lo)
+            if reference == "pca":
+                draw = draw @ R.T + mu
+            refs[b] = _log_dispersion(draw, k, restarts, child_seed(seed, 9, k, b))
+        gap[idx] = refs.mean() - _log_dispersion(P, k, restarts, child_seed(seed, 7, k))
+        se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
     return GapCurve(k_candidates=ks, gap=gap, se=se,
                     chosen_k=choose_k_from_curve(ks, gap, se))
 
@@ -264,38 +246,22 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
             raise ValueError(f"candidate k = {k} out of range for n = {n}, p = {p}")
     graph = build_fusion_graph(X, tau, min(delta, n - 1), rho)
 
-    def work(k):
+    def fit_and_gap(k):
         inst = ProblemInstance(data=X, k=k, eta1=eta1, eta2=eta2, gamma=gamma,
                                rho=rho, nu=nu, epsilon=epsilon,
                                max_outer=max_outer, max_inner=max_inner,
                                v_mode=v_mode)
         fit = fit_rsodc(inst, graph, seed=child_seed(seed, 5, k))
-        emb = fit.embedding
-        lw = _log_dispersion(emb, k, restarts, child_seed(seed, 7, k))
-        lo, hi = emb.min(axis=0), emb.max(axis=0)
-        refs = np.empty(mc_samples)
-        for b in range(mc_samples):
-            rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
-            draw = lo + rng_b.random(emb.shape) * (hi - lo)
-            refs[b] = _log_dispersion(draw, k, restarts, child_seed(seed, 9, k, b))
-        gap_k = float(refs.mean() - lw)
-        se_k = float(refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples))
-        return k, fit, gap_k, se_k
+        return fit, gap_statistic(fit.embedding, [k], mc_samples, seed, restarts)
 
-    def safe(k):
-        try:
-            return work(k)
-        except Exception as exc:
-            warnings.warn(f"candidate k = {k} failed: {exc}", RuntimeWarning)
-            return None
-
-    results = [r for r in _run_items(ks, safe, threads) if r is not None]
-    if not results:
+    fits, gap, se = {}, [], []
+    for k, result in zip(ks, parallel_map(fit_and_gap, ks, threads)):
+        if result is not None:
+            fits[k] = result[0]
+            gap.append(result[1].gap[0])
+            se.append(result[1].se[0])
+    if not fits:
         raise RuntimeError("every candidate k failed")
-    ks_ok = [r[0] for r in results]
-    gap = np.array([r[2] for r in results])
-    se = np.array([r[3] for r in results])
-    chosen = choose_k_from_curve(ks_ok, gap, se)
-    curve = GapCurve(k_candidates=ks_ok, gap=gap, se=se, chosen_k=chosen)
-    fits = {r[0]: r[1] for r in results}
-    return chosen, curve, fits
+    curve = GapCurve(k_candidates=list(fits), gap=np.array(gap), se=np.array(se),
+                     chosen_k=choose_k_from_curve(list(fits), gap, se))
+    return curve.chosen_k, curve, fits

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 import warnings
 
 import numpy as np
@@ -229,3 +230,104 @@ def test_fit_manifest_times_the_graph_build(dataset, tmp_path):
     assert 0.0 < timings["graph"] <= timings["command"]
     assert payload["diagnostics"]["edges"] > 0 and payload["diagnostics"]["omega"] > 0
     assert json.loads((plain / "fit.json").read_text())["manifest"]["timings"]["graph"] == 0.0
+
+
+def test_simulate_rejects_a_weight_grid_without_usable_combos(tmp_path):
+    assert _run(["simulate", "--design", "2", "--replicates", "1",
+                 "--grid-gamma", "0.5", "--grid-rho", "0.1",
+                 "--out", str(tmp_path / "g")]) == 2
+
+
+def test_simulate_design_3_rejects_a_bad_k_range(tmp_path):
+    for k_min, k_max in (("1", "4"), ("4", "3")):
+        assert _run(["simulate", "--design", "3", "--replicates", "1",
+                     "--k-min", k_min, "--k-max", k_max,
+                     "--out", str(tmp_path / "k")]) == 2
+    assert not (tmp_path / "k").exists()
+
+
+SIM_RUNS = {
+    1: ["--replicates", "2"],
+    2: ["--replicates", "2", "--grid-eta1", "1,2.5", "--grid-gamma", "0.001",
+        "--grid-rho", "0.01"],
+    3: ["--replicates", "3", "--k-min", "2", "--k-max", "3", "--mc-samples", "5"],
+    4: ["--replicates", "2", "--grid-tau", "0.1", "--grid-delta", "3,5"],
+    5: ["--replicates", "3"],
+}
+SIM_GROUPS = {1: ["method"], 2: ["eta1", "gamma", "rho"], 3: ["chosen_k"],
+              4: ["tau", "delta"], 5: []}
+
+
+def _recomputed_aggregate(rows, group, columns):
+    """Aggregate rows by hand: median_/mean_/sd_ of a column, group sizes,
+    and columns every row of a group shares."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[c] for c in group), []).append(row)
+    out = []
+    for key, members in groups.items():
+        agg = dict(zip(group, key))
+        for col in columns[len(group):]:
+            stat, _, source = col.partition("_")
+            values = [float(r[source]) for r in members if source in r]
+            if col in ("replicates", "count"):
+                agg[col] = float(len(members))
+            elif stat == "median":
+                agg[col] = statistics.median(values)
+            elif stat == "mean":
+                agg[col] = statistics.fmean(values)
+            elif stat == "sd":
+                agg[col] = statistics.pstdev(values)
+            else:
+                assert len({r[col] for r in members}) == 1
+                agg[col] = float(members[0][col])
+        out.append(agg)
+    return out
+
+
+@pytest.mark.parametrize("design", sorted(SIM_RUNS))
+def test_simulate_aggregate_recomputes_from_replicates(design, tmp_path):
+    out = tmp_path / f"sim{design}"
+    # at seed 1 design 3 chooses k = 3, 2, 3, so its sorted groups differ
+    # from first appearance
+    assert _run(["simulate", "--design", str(design), "--n", "24", "--seed", "1",
+                 *SIM_RUNS[design], "--out", str(out)]) == 0
+    with open(out / "replicates.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "aggregate.csv") as fh:
+        reader = csv.DictReader(fh)
+        agg_rows, columns = list(reader), reader.fieldnames
+    summary = json.loads((out / "simulate.json").read_text())
+    assert summary["failures"] == 0 and summary["warnings"] >= 0
+    if design != 3:
+        assert {r["status"] for r in rows} <= {"converged", "stalled", "max_outer"}
+    group = SIM_GROUPS[design]
+    expected = _recomputed_aggregate(rows, group, columns)
+    if design == 3:
+        expected.sort(key=lambda a: int(a["chosen_k"]))
+        assert sum(int(a["count"]) for a in agg_rows) == 3
+    assert [[a[c] for c in group] for a in agg_rows] == [[e[c] for c in group]
+                                                         for e in expected]
+    for got, want in zip(agg_rows, expected):
+        for col in columns[len(group):]:
+            assert float(got[col]) == pytest.approx(want[col], rel=1e-12, abs=1e-15)
+
+
+def test_batch_commands_count_warnings_and_fit_status(dataset, tmp_path):
+    data, _, _, _ = dataset
+    out = tmp_path / "sim5"
+    # one outer iteration never converges, and n = 24 caps the 25 neighbours
+    assert _run(["simulate", "--design", "5", "--replicates", "2", "--n", "24",
+                 "--max-outer", "1", "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    with open(out / "replicates.csv") as fh:
+        statuses = [r["status"] for r in csv.DictReader(fh)]
+    assert len(statuses) == 2 and "converged" not in statuses
+    assert summary["warnings"] >= 4
+    assert _run(["select-k", str(data), "--k-min", "2", "--k-max", "3",
+                 "--mc-samples", "5", "--max-outer", "1", "--out", str(tmp_path / "k")]) == 0
+    assert json.loads((tmp_path / "k" / "chosen_k.json").read_text())["warnings"] >= 2
+    assert _run(["tune", str(data), "--k", "3", "--grid-eta1", "1",
+                 "--grid-gamma", "0.001", "--grid-rho", "0.01", "--repeats", "1",
+                 "--max-outer", "1", "--out", str(tmp_path / "t")]) == 0
+    assert json.loads((tmp_path / "t" / "best_params.json").read_text())["warnings"] >= 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rsodc.core import (
     center_columns,
     check_matrix,
     child_seed,
+    parallel_map,
     thin_svd,
     top_eigenvalue_sym,
 )
@@ -115,3 +118,19 @@ def test_top_eigenvalue_takes_a_matvec_and_needs_its_dimension():
     assert top_eigenvalue_sym(np.zeros((70, 70))) == 0.0
     with pytest.raises(ValueError):
         top_eigenvalue_sym(lambda v: v)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_parallel_map_keeps_order_and_turns_each_failure_into_none(threads):
+    def halve_even(x):
+        if x % 2:
+            raise ValueError(f"odd {x}")
+        return x // 2
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = parallel_map(halve_even, range(9), threads)
+    assert out == [0, None, 1, None, 2, None, 3, None, 4]
+    assert len(caught) == 4
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert sorted(str(w.message) for w in caught)[0] == "halve_even failed on 1: odd 1"

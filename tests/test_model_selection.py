@@ -167,3 +167,39 @@ def test_select_k_by_gap_thread_invariance():
     assert c1 == c2
     np.testing.assert_allclose(curve1.gap, curve2.gap)
     np.testing.assert_allclose(curve1.se, curve2.se)
+
+
+def test_select_k_by_gap_curve_is_gap_statistic_on_each_embedding():
+    cfg = SimulationConfig(n=30, p=20, k=3, theta=3.0, xi=0.5, seed=17)
+    X, _ = generate(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, curve, fits = select_k_by_gap(X, [2, 3, 4], eta1=1.0, gamma=0.001,
+                                         rho=0.01, mc_samples=8, restarts=3, seed=11)
+    for i, k in enumerate(curve.k_candidates):
+        alone = gap_statistic(fits[k].embedding, [k], mc_samples=8, seed=11, restarts=3)
+        assert curve.gap[i] == alone.gap[0]
+        assert curve.se[i] == alone.se[0]
+
+
+def test_stability_cv_counts_failed_fits(monkeypatch):
+    import rsodc.model_selection as ms
+
+    real_fit = ms.fit_rsodc
+
+    def fit_failing_at_high_eta1(inst, graph, seed):
+        if inst.eta1 > 2.0:
+            raise FloatingPointError("diverged")
+        return real_fit(inst, graph, seed=seed)
+
+    monkeypatch.setattr(ms, "fit_rsodc", fit_failing_at_high_eta1)
+    # halves of 24 rows: a fit needs at least p = 20 rows
+    X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0, 2.5), gamma_candidates=(0.001,),
+                     rho_candidates=(0.01,), repeats=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, table = stability_cv(X, 3, grid, delta=5, seed=7, threads=3)
+    assert len([w for w in caught if "diverged" in str(w.message)]) == 3
+    assert [row["failures"] for row in table] == [0, 3]
+    assert table[1]["kappas"] == [-1.0, -1.0, -1.0]
