@@ -32,7 +32,7 @@ from ._io import (
 from ._svg import scatter_svg
 from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
-from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph
+from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph, cap_delta
 from .metrics import (
     adjusted_rand_index,
     anova_f_scores,
@@ -97,14 +97,6 @@ def _instance(X, k, args) -> ProblemInstance:
         raise InputError(str(exc)) from exc
 
 
-def _clamped_delta(delta: int, n: int) -> int:
-    if delta > n - 1:
-        warnings.warn(f"neighbor count {delta} capped at n - 1 = {n - 1}",
-                      RuntimeWarning)
-        return n - 1
-    return delta
-
-
 def _fit_model(X, args, seed):
     """Fit the model args describe: sodc when gamma = 0, else rsodc on the
     kNN fusion graph of X. Returns (method, fit, graph-build seconds)."""
@@ -113,7 +105,7 @@ def _fit_model(X, args, seed):
         return "sodc", fit_sodc(inst, seed=seed), 0.0
     t_graph = time.perf_counter()
     try:
-        graph = build_fusion_graph(X, args.tau, _clamped_delta(args.delta, X.shape[0]),
+        graph = build_fusion_graph(X, args.tau, cap_delta(args.delta, X.shape[0]),
                                    args.rho)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -17,6 +17,7 @@ attribute is read.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,19 @@ class FusionGraph:
         if self.rho is None:
             return None
         return (self.rho / 2.0) * dense_laplacian(self.edges, self.n)
+
+
+def cap_delta(delta: int, n: int) -> int:
+    """The neighbor count usable on n points: delta capped at n - 1.
+
+    Warns once when the cap applies. Each routine that takes a neighbor
+    count caps it here once and hands the result to all of its graphs.
+    """
+    if delta > n - 1:
+        warnings.warn(f"neighbor count {delta} capped at n - 1 = {n - 1}",
+                      RuntimeWarning)
+        return n - 1
+    return delta
 
 
 def knn_indicator(X, delta: int) -> np.ndarray:

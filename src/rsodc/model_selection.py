@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, parallel_map, thin_svd
-from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph
+from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph, cap_delta
 from .solver import fit_rsodc, kmeans
 
 PAPER_ETA1 = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -99,8 +99,9 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     For every combo and each of grid.repeats random half splits (sizes
     floor(n/2) and the rest; splits shared across combos), the solver runs
     on both halves and the kappa of the two selection indicators is
-    recorded. A failed fit contributes kappa -1 with a warning. The best
-    combo maximizes mean kappa; ties go to the smallest (eta1, gamma, rho).
+    recorded. Both halves' graphs use delta capped at floor(n/2) - 1. A
+    failed fit contributes kappa -1 with a warning. The best combo
+    maximizes mean kappa; ties go to the smallest (eta1, gamma, rho).
 
     Returns
     -------
@@ -115,6 +116,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     grid = grid if grid is not None else ParamGrid()
     combos = grid.combos
     half = n // 2
+    delta = cap_delta(delta, half)  # the smaller half bounds both graphs
     splits = []
     for r in range(grid.repeats):
         perm = np.random.default_rng(child_seed(seed, 2, r)).permutation(n)
@@ -130,7 +132,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
                                    gamma=gamma, rho=rho, nu=nu, epsilon=epsilon,
                                    max_outer=max_outer, max_inner=max_inner,
                                    v_mode=v_mode)
-            graph = build_fusion_graph(sub, tau, min(delta, sub.shape[0] - 1), rho)
+            graph = build_fusion_graph(sub, tau, delta, rho)
             fit = fit_rsodc(inst, graph, seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
@@ -244,7 +246,7 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
     for k in ks:
         if k < 2 or k - 1 > min(n, p) or k > n - 1:
             raise ValueError(f"candidate k = {k} out of range for n = {n}, p = {p}")
-    graph = build_fusion_graph(X, tau, min(delta, n - 1), rho)
+    graph = build_fusion_graph(X, tau, cap_delta(delta, n), rho)
 
     def fit_and_gap(k):
         inst = ProblemInstance(data=X, k=k, eta1=eta1, eta2=eta2, gamma=gamma,

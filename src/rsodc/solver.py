@@ -33,6 +33,7 @@ from .fusion_graph import (
     FusionGraph,
     build_fusion_graph,
     build_quadratic,
+    cap_delta,
     dense_laplacian,
     edge_gather,
     edge_scatter,
@@ -113,8 +114,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     # B is drawn before anything else so sodc and the gamma = 0 rsodc path
     # consume the seed stream identically.
     B = rng.standard_normal((p, d))
-    L0, _, _ = thin_svd(Xc)
-    Y0 = L0[:, :d]
+    # start from the leading left singular vectors of Xc; thin_svd takes a
+    # tall matrix, so data with fewer rows than columns is decomposed transposed
+    Y0 = thin_svd(Xc)[0][:, :d] if n >= p else thin_svd(Xc.T)[2][:, :d]
 
     if method == "rsodc":
         graph = _ensure_quadratic(graph, instance.rho)
@@ -132,15 +134,16 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
 
     trace = [_objective_terms(Xc, B, state.Y, graph, instance.eta1, instance.eta2,
                               instance.gamma)]
+    # the safe bound depends on Xc and eta2 only, so one clamp (and at most
+    # one warning) serves every B step of the fit
+    nu = clamp_step(build_stacked(state.Y, Xc, instance.eta2), instance.nu)
     inner_iterations: list = []
     converged = False
     status = "max_outer"
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
         design = build_stacked(state.Y, Xc, instance.eta2)
-        nu_eff = clamp_step(design, instance.nu)
-        B_new, _ = solve_B(B, design, instance.eta1, nu_eff,
-                           epsilon=instance.epsilon)
+        B_new, _ = solve_B(B, design, instance.eta1, nu, epsilon=instance.epsilon)
         timings["b_step"] += time.perf_counter() - t0
         obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance.eta1,
                                  instance.eta2, instance.gamma)
@@ -219,7 +222,7 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         Data and weights; v_mode picks the V-step variant.
     graph : FusionGraph, optional
         Fusion graph built on instance.data. Built with default weight
-        parameters when omitted (neighbor count capped at n - 1).
+        parameters when omitted (neighbor count capped at n - 1, with a warning).
     seed : int, SeedSequence, or Generator
         Drives the B initialization and the k-means restarts.
 
@@ -230,8 +233,8 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         per-phase timings.
     """
     if graph is None:
-        delta = min(DEFAULT_DELTA, instance.n - 1)
-        graph = build_fusion_graph(instance.data, DEFAULT_TAU, delta, instance.rho)
+        graph = build_fusion_graph(instance.data, DEFAULT_TAU,
+                                   cap_delta(DEFAULT_DELTA, instance.n), instance.rho)
     return _alternate(instance, graph, seed, "rsodc")
 
 
@@ -267,59 +270,83 @@ def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def _assign(P: np.ndarray, centers: np.ndarray):
-    # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-    d2 = (np.sum(P * P, axis=1)[:, None] - 2.0 * P @ centers.T
-          + np.sum(centers * centers, axis=1)[None, :])
-    np.maximum(d2, 0.0, out=d2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2
-
-
-def _lloyd(P: np.ndarray, centers: np.ndarray, max_iter: int):
-    n, k = P.shape[0], centers.shape[0]
-    labels = np.full(n, -1)
-    for _ in range(max_iter):
-        new_labels, d2 = _assign(P, centers)
-        point_d2 = d2[np.arange(n), new_labels]
-        for c in range(k):
-            if not np.any(new_labels == c):
-                far = int(np.argmax(point_d2))
-                new_labels[far] = c
-                point_d2[far] = 0.0
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = P[labels == c].mean(axis=0)
-    inertia = 0.0
+def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
+    """Give each empty cluster, in cluster order, the point farthest from its
+    centre; point_d2 holds each point's squared distance to its centre."""
     for c in range(k):
+        if not np.any(labels == c):
+            far = int(np.argmax(point_d2))
+            labels[far] = c
+            point_d2[far] = 0.0
+
+
+def _cluster_means(PT: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster means, a x k x d, for each row of an a x n label array.
+
+    PT is the d x n transposed point set. Cluster c of row i is bin i*k + c;
+    np.bincount adds each cluster's points in row order, as
+    P[labels == c].mean(axis=0) does for d >= 2.
+    """
+    a, n = labels.shape
+    d = PT.shape[0]
+    bins = (labels + (np.arange(a) * k)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=a * k)[:, None]
+    columns = np.broadcast_to(PT[:, None, :], (d, a, n)).reshape(d, a * n)
+    sums = np.stack([np.bincount(bins, col, minlength=a * k) for col in columns], axis=1)
+    return (sums / counts).reshape(a, k, d)
+
+
+def _inertia(P: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
+    """Within-cluster sum of squares, added up cluster by cluster."""
+    total = 0.0
+    for c in range(centers.shape[0]):
         diff = P[labels == c] - centers[c]
-        inertia += float(np.sum(diff * diff))
-    return labels, centers, inertia
+        total += float(np.sum(diff * diff))
+    return total
 
 
 def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     """Lloyd's algorithm with k-means++ seeding and independent restarts.
 
-    Returns 1-based labels and the best CentroidSet by inertia. Empty
-    clusters are repaired by promoting the point farthest from its center.
+    All restarts are seeded first, in restart order, then run through one
+    Lloyd loop over an R x n x k distance array; a restart leaves the loop
+    once its labels stop changing. Empty clusters are repaired by promoting
+    the point farthest from its center. Returns 1-based labels and the best
+    CentroidSet by inertia (ties go to the first restart).
     """
     P = check_matrix(points, "points")
     n = P.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = as_generator(seed)
-    best_inertia = np.inf
-    best = None
-    for _ in range(max(1, int(restarts))):
-        centers = _kmeans_pp(P, k, rng)
-        labels, centers, inertia = _lloyd(P, centers.copy(), max_iter)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best = (labels, centers)
-    labels, centers = best
-    return labels + 1, CentroidSet(M=centers, inertia=best_inertia)
+    restarts = max(1, int(restarts))
+    centers = np.stack([_kmeans_pp(P, k, rng) for _ in range(restarts)])
+    labels = np.full((restarts, n), -1)
+    P2, PT = 2.0 * P, np.ascontiguousarray(P.T)
+    sq = np.sum(P * P, axis=1)[:, None]
+    rows = np.arange(n)
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        C = centers[active]
+        # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
+        d2 = np.matmul(P2, C.transpose(0, 2, 1))
+        np.subtract(sq, d2, out=d2)
+        d2 += np.sum(C * C, axis=2)[:, None, :]
+        np.maximum(d2, 0.0, out=d2)
+        new = np.argmin(d2, axis=2)
+        bins = new + (np.arange(active.size) * k)[:, None]
+        sizes = np.bincount(bins.ravel(), minlength=active.size * k).reshape(-1, k)
+        for i in np.flatnonzero((sizes == 0).any(axis=1)):
+            _repair_empty(new[i], d2[i, rows, new[i]], k)
+        moved = (new != labels[active]).any(axis=1)
+        active, new = active[moved], new[moved]
+        labels[active] = new
+        centers[active] = _cluster_means(PT, new, k)
+    inertia = np.array([_inertia(P, labels[r], centers[r]) for r in range(restarts)])
+    best = int(np.argmin(inertia))
+    return labels[best] + 1, CentroidSet(M=centers[best], inertia=float(inertia[best]))
 
 
 def convex_clustering(X, graph: FusionGraph, gamma: float, rho: float,

@@ -203,3 +203,39 @@ def test_stability_cv_counts_failed_fits(monkeypatch):
     assert len([w for w in caught if "diverged" in str(w.message)]) == 3
     assert [row["failures"] for row in table] == [0, 3]
     assert table[1]["kappas"] == [-1.0, -1.0, -1.0]
+
+
+def _cap_warnings(caught) -> int:
+    return sum("capped at n - 1" in str(w.message) for w in caught)
+
+
+def test_stability_cv_fits_halves_with_fewer_rows_than_columns():
+    # halves of 12 rows against p = 20 columns
+    X, _ = generate(SimulationConfig(n=24, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0, 2.5), gamma_candidates=(0.001,),
+                     rho_candidates=(0.01,), repeats=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, table = stability_cv(X, 3, grid, delta=5, seed=7)
+    assert [row["failures"] for row in table] == [0, 0]
+    assert not [w for w in caught if "failed on" in str(w.message)]
+
+
+def test_neighbor_cap_warns_once_per_call():
+    X, _ = generate(SimulationConfig(n=24, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0, 2.5), gamma_candidates=(0.001,),
+                     rho_candidates=(0.01,), repeats=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stability_cv(X, 3, grid, delta=30, seed=7)  # 8 fits on halves of 12
+    assert _cap_warnings(caught) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_k_by_gap(X, [2, 3], eta1=1.0, gamma=0.001, delta=30, mc_samples=3,
+                        restarts=2, seed=1)  # 2 fits on 24 rows
+    assert _cap_warnings(caught) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_k_by_gap(X, [2, 3], eta1=1.0, gamma=0.001, delta=23, mc_samples=3,
+                        restarts=2, seed=1)
+    assert _cap_warnings(caught) == 0

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import rsodc.solver as solver
 from rsodc.core import ProblemInstance, center_columns
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import build_fusion_graph
@@ -188,3 +190,141 @@ def test_fit_rsodc_reports_omega_and_edge_count():
     assert fit.diagnostics["edges"] == graph.m
     # gamma = 0 runs the scoring step on the empty edge set
     assert fused_off.diagnostics["edges"] == 0
+
+
+# Per-restart k-means as it ran before the restarts were batched: seed one
+# restart with k-means++, run its own Lloyd loop, keep the first best.
+
+def _reference_kmeans_pp(P, k, rng):
+    n = P.shape[0]
+    centers = np.empty((k, P.shape[1]))
+    idx = int(rng.integers(n))
+    centers[0] = P[idx]
+    dist = np.sum((P - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = dist.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=dist / total))
+        centers[c] = P[idx]
+        dist = np.minimum(dist, np.sum((P - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _reference_lloyd(P, centers, max_iter):
+    n, k = P.shape[0], centers.shape[0]
+    labels = np.full(n, -1)
+    for _ in range(max_iter):
+        d2 = (np.sum(P * P, axis=1)[:, None] - 2.0 * P @ centers.T
+              + np.sum(centers * centers, axis=1)[None, :])
+        np.maximum(d2, 0.0, out=d2)
+        new_labels = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(point_d2))
+                new_labels[far] = c
+                point_d2[far] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = P[labels == c].mean(axis=0)
+    inertia = 0.0
+    for c in range(k):
+        diff = P[labels == c] - centers[c]
+        inertia += float(np.sum(diff * diff))
+    return labels, centers, inertia
+
+
+def _reference_kmeans(P, k, restarts, rng, max_iter=300):
+    best_inertia, best = np.inf, None
+    for _ in range(max(1, int(restarts))):
+        centers = _reference_kmeans_pp(P, k, rng)
+        labels, centers, inertia = _reference_lloyd(P, centers.copy(), max_iter)
+        if inertia < best_inertia:
+            best_inertia, best = inertia, (labels, centers)
+    return best[0] + 1, best[1], best_inertia
+
+
+def _assert_matches_reference(P, k, restarts, seed):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    labels, centroids = kmeans(P, k, restarts=restarts, seed=rng_new)
+    ref_labels, ref_centers, ref_inertia = _reference_kmeans(P, k, restarts, rng_ref)
+    np.testing.assert_array_equal(labels, ref_labels)
+    np.testing.assert_allclose(centroids.M, ref_centers, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(P)))
+    assert centroids.inertia == pytest.approx(ref_inertia, rel=1e-12, abs=1e-300)
+    # Lloyd draws nothing, so the seed stream ends where the reference's does
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("restarts", [1, 10, 20])
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_batched_kmeans_matches_per_restart_reference(d, k, restarts):
+    rng = np.random.default_rng([d, k, restarts])
+    blobs = rng.standard_normal((4, d)) * 3.0
+    P = blobs[rng.integers(4, size=150)] + rng.standard_normal((150, d))
+    _assert_matches_reference(P, k, restarts, seed=d * 100 + k * 10 + restarts)
+
+
+def test_batched_kmeans_matches_reference_through_empty_cluster_repair(monkeypatch):
+    repairs = []
+    real_repair = solver._repair_empty
+
+    def counted(labels, point_d2, k):
+        repairs.append(int(np.sum(np.bincount(labels, minlength=k) == 0)))
+        real_repair(labels, point_d2, k)
+
+    monkeypatch.setattr(solver, "_repair_empty", counted)
+    rng = np.random.default_rng(5)
+    # more clusters than distinct points (three, repeated), and k = n with
+    # and without duplicate rows: the repair runs, and where it cannot fill
+    # every cluster the centre of the empty one is NaN in both implementations
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        P = np.repeat(rng.standard_normal((3, 2)), [10, 6, 4], axis=0)
+        for seed in range(4):
+            _assert_matches_reference(P, 6, 10, seed)
+        duplicated = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        for P in (rng.standard_normal((7, 3)), duplicated):
+            _assert_matches_reference(P, P.shape[0], 5, seed=1)
+    assert repairs and max(repairs) > 0
+
+
+def test_batched_kmeans_memory_is_one_distance_array():
+    n, k, restarts = 4000, 6, 20
+    P = np.random.default_rng(3).standard_normal((n, 5))
+    tracemalloc.start()
+    try:
+        kmeans(P, k, restarts=restarts, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * restarts * n * k * 8
+
+
+def test_fits_with_fewer_rows_than_columns():
+    X, _ = generate(SimulationConfig(n=12, p=20, k=3, theta=2.5, xi=0.5, seed=3))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = [fit_rsodc(inst, seed=0), fit_sodc(inst, seed=0)]
+    for fit in fits:
+        assert fit.Y_hat.shape == (12, 2)
+        np.testing.assert_allclose(fit.Y_hat.T @ fit.Y_hat, np.eye(2), atol=1e-8)
+        np.testing.assert_allclose(fit.Y_hat.sum(axis=0), 0.0, atol=1e-8)
+
+
+def test_unsafe_step_size_warns_once_per_fit():
+    X, _ = generate(SimulationConfig(n=200, p=20, k=3, theta=2.5, xi=0.5, seed=3))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01, nu=1.0,
+                           max_outer=5, v_mode="exact")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_rsodc(inst, seed=0)
+    assert fit.outer_iters > 1
+    clamps = [w for w in caught if "exceeds the safe bound" in str(w.message)]
+    assert len(clamps) == 1 and clamps[0].category is RuntimeWarning
