@@ -15,8 +15,9 @@ constraint propagates through the Procrustes solve by induction.
 
 Every edge sum goes through the graph's gather and scatter operators, so an
 inner iteration costs O(m d) beyond its SVD. inner_admm forms the edge
-differences of Y once per Y update and hands them to the V step, the Lambda
-step, the Lagrangian and the next assemble_D (whose Q is that Y).
+differences of Y once per Y update and hands them to the V step and the
+next assemble_D (whose Q is that Y), and forms the residual V - (y_i - y_j)
+once per V update for the Lambda step and the Lagrangian.
 """
 
 from __future__ import annotations
@@ -219,32 +220,30 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
 
 
 def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float,
-                  diffs=None) -> ScoringState:
+                  resid=None) -> ScoringState:
     """lambda_l <- lambda_l + rho (v_l - y_i + y_j); records the primal residual.
 
-    diffs, when given, are the edge differences of state.Y.
+    resid, when given, is state.V minus the edge differences of state.Y.
     """
-    if diffs is None:
-        diffs = edge_differences(state.Y, graph)
-    resid = state.V - diffs
+    if resid is None:
+        resid = state.V - edge_differences(state.Y, graph)
     state.Lambda = state.Lambda + rho * resid
     state.primal_residual = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
     return state
 
 
 def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
-                         gamma: float, rho: float, diffs=None) -> float:
+                         gamma: float, rho: float, resid=None) -> float:
     """Value of the scoring subproblem's augmented Lagrangian.
 
     1/2 ||Y - W||_F^2 + gamma sum_l alpha_l ||v_l||
     + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2.
-    diffs, when given, are the edge differences of state.Y.
+    resid, when given, is state.V minus the edge differences of state.Y.
     """
     diff = state.Y - W
     val = 0.5 * float(np.sum(diff * diff))
-    if diffs is None:
-        diffs = edge_differences(state.Y, graph)
-    resid = state.V - diffs
+    if resid is None:
+        resid = state.V - edge_differences(state.Y, graph)
     val += gamma * float(graph.alpha @ np.linalg.norm(state.V, axis=1))
     val += float(np.sum(state.Lambda * resid))
     val += 0.5 * rho * float(np.sum(resid * resid))
@@ -253,7 +252,7 @@ def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
 
 def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
                rho: float, epsilon: float = 1e-6, max_inner: int = 1000,
-               v_mode: str = "paper") -> ScoringState:
+               v_mode: str = "exact") -> ScoringState:
     """Iterate Y, V, Lambda until the Lagrangian decrease falls below epsilon.
 
     The loop keeps going while L(t) - L(t+1) >= epsilon, so an increase also
@@ -262,7 +261,7 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     W = check_matrix(W, "W")
     state.Q = state.Y.copy()
     diffs = edge_differences(state.Y, graph)
-    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, diffs=diffs)
+    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, resid=state.V - diffs)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
@@ -271,8 +270,9 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         update_Y(state, D)
         diffs = edge_differences(state.Y, graph)
         update_V(state, graph, gamma, rho, mode=v_mode, diffs=diffs)
-        update_Lambda(state, graph, rho, diffs=diffs)
-        L_new = augmented_lagrangian(W, state, graph, gamma, rho, diffs=diffs)
+        resid = state.V - diffs
+        update_Lambda(state, graph, rho, resid=resid)
+        L_new = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid)
         state.inner_objective.append(L_new)
         state.iterations += 1
         if L_prev - L_new < epsilon:

@@ -489,7 +489,7 @@ def _add_solver(p, eta1=0.0, gamma=0.0, rho=0.01) -> None:
     p.add_argument("--gamma", type=float, default=gamma, help="fusion weight")
     p.add_argument("--rho", type=float, default=rho,
                    help="augmented-Lagrangian weight")
-    p.add_argument("--nu", type=float, default=0.001, help="B-update step size")
+    p.add_argument("--nu", type=float, default=0.001, help="deprecated; ignored")
     p.add_argument("--tau", type=float, default=DEFAULT_TAU,
                    help="neighbor weight decay rate")
     p.add_argument("--delta", type=int, default=DEFAULT_DELTA,
@@ -498,9 +498,9 @@ def _add_solver(p, eta1=0.0, gamma=0.0, rho=0.01) -> None:
                    help="convergence threshold")
     p.add_argument("--max-outer", type=int, default=100)
     p.add_argument("--max-inner", type=int, default=1000)
-    p.add_argument("--v-mode", choices=("paper", "exact"), default="paper",
-                   help="fusion-difference update: damped one-step or exact "
-                        "shrinkage")
+    p.add_argument("--v-mode", choices=("paper", "exact"), default="exact",
+                   help="fusion-difference update: exact shrinkage, or the "
+                        "paper's damped one-step update")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -162,11 +162,11 @@ class ProblemInstance:
     eta2: float = 0.0
     gamma: float = 0.0
     rho: float = 0.01
-    nu: float = 0.001
+    nu: float = 0.001         # deprecated and ignored: the B step takes no step size
     epsilon: float = 1e-6
     max_outer: int = 100
     max_inner: int = 1000
-    v_mode: str = "paper"
+    v_mode: str = "exact"
 
     def __post_init__(self):
         self.data = check_matrix(self.data, "data")

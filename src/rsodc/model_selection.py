@@ -93,7 +93,7 @@ def kappa(a, b) -> float:
 def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
                  delta: int = DEFAULT_DELTA, seed: int = 0, eta2: float = 0.0,
                  nu: float = 0.001, epsilon: float = 1e-6, max_outer: int = 100,
-                 max_inner: int = 1000, v_mode: str = "paper", threads: int = 1):
+                 max_inner: int = 1000, v_mode: str = "exact", threads: int = 1):
     """Pick the weight combination whose variable selection is most stable.
 
     For every combo and each of grid.repeats random half splits (sizes
@@ -225,7 +225,7 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
                     nu: float = 0.001, tau: float = DEFAULT_TAU,
                     delta: int = DEFAULT_DELTA, epsilon: float = 1e-6,
                     max_outer: int = 100, max_inner: int = 1000,
-                    v_mode: str = "paper", mc_samples: int = 100,
+                    v_mode: str = "exact", mc_samples: int = 100,
                     restarts: int = 10, seed: int = 0, threads: int = 1):
     """Choose the cluster count by the gap statistic on per-k embeddings.
 

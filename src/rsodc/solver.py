@@ -11,8 +11,9 @@ gamma = 0 specialization whose Y step is a single Procrustes solve.
 convex_clustering and tandem_baseline are the comparison methods.
 
 The reported loss keeps the 1/2 on the fit term; the B subproblem works with
-the same scaling, so its coordinate sweeps descend the reported loss exactly
-when eta2 = 0. ADMM iterations carry no such guarantee, hence the guarded
+the same scaling and a ridge weight of 2 eta2, so with Y fixed it is the
+reported loss in B and its coordinate sweeps never raise it. ADMM
+iterations carry no such guarantee, hence the guarded
 acceptance below: a cycle that raises the loss beyond 1e-8 is rolled back and
 the fit ends with status "stalled", keeping the trace non-increasing.
 """
@@ -39,7 +40,7 @@ from .fusion_graph import (
     edge_scatter,
     restrict,
 )
-from .group_lasso import build_stacked, clamp_step, row_soft_threshold, solve_B
+from .group_lasso import build_stacked, row_soft_threshold, solve_B
 
 OBJECTIVE_SLACK = 1e-8
 
@@ -103,20 +104,32 @@ def _ensure_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
     return graph
 
 
+def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left (n x r) and right (p x r) singular vectors of Xc, r = min(n, p).
+
+    thin_svd takes a tall matrix, so data with fewer rows than columns is
+    decomposed transposed.
+    """
+    if Xc.shape[0] >= Xc.shape[1]:
+        L, _, R = thin_svd(Xc)
+        return L, R
+    R, _, L = thin_svd(Xc.T)
+    return L, R
+
+
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop. graph is None exactly when method == 'sodc'."""
     t_start = time.perf_counter()
     timings = {"b_step": 0.0, "y_step": 0.0}
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
-    n, p, d = instance.n, instance.p, instance.d
+    p, d = instance.p, instance.d
 
     # B is drawn before anything else so sodc and the gamma = 0 rsodc path
     # consume the seed stream identically.
     B = rng.standard_normal((p, d))
-    # start from the leading left singular vectors of Xc; thin_svd takes a
-    # tall matrix, so data with fewer rows than columns is decomposed transposed
-    Y0 = thin_svd(Xc)[0][:, :d] if n >= p else thin_svd(Xc.T)[2][:, :d]
+    # start from the leading left singular vectors of Xc
+    Y0 = _singular_vectors(Xc)[0][:, :d]
 
     if method == "rsodc":
         graph = _ensure_quadratic(graph, instance.rho)
@@ -134,16 +147,17 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
 
     trace = [_objective_terms(Xc, B, state.Y, graph, instance.eta1, instance.eta2,
                               instance.gamma)]
-    # the safe bound depends on Xc and eta2 only, so one clamp (and at most
-    # one warning) serves every B step of the fit
-    nu = clamp_step(build_stacked(state.Y, Xc, instance.eta2), instance.nu)
+    gram = Xc.T @ Xc
     inner_iterations: list = []
     converged = False
     status = "max_outer"
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
-        design = build_stacked(state.Y, Xc, instance.eta2)
-        B_new, _ = solve_B(B, design, instance.eta1, nu, epsilon=instance.epsilon)
+        # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
+        # so the subproblem gets 2 eta2 and the B step minimises the loss in B
+        design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
+        B_new, _ = solve_B(B, design, instance.eta1, instance.nu,
+                           epsilon=instance.epsilon)
         timings["b_step"] += time.perf_counter() - t0
         obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance.eta1,
                                  instance.eta2, instance.gamma)
@@ -272,12 +286,18 @@ def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
 
 def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
     """Give each empty cluster, in cluster order, the point farthest from its
-    centre; point_d2 holds each point's squared distance to its centre."""
-    for c in range(k):
-        if not np.any(labels == c):
-            far = int(np.argmax(point_d2))
-            labels[far] = c
-            point_d2[far] = 0.0
+    centre among the points whose cluster keeps another member; point_d2
+    holds each point's squared distance to its centre.
+
+    A moved point is the only member of its new cluster, so no point moves
+    twice and no cluster is emptied; with k <= n a donor always exists.
+    """
+    sizes = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(sizes == 0):
+        far = int(np.argmax(np.where(sizes[labels] > 1, point_d2, -np.inf)))
+        sizes[labels[far]] -= 1
+        sizes[c] = 1
+        labels[far] = c
 
 
 def _cluster_means(PT: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -431,7 +451,7 @@ def tandem_baseline(X, k: int, seed=0) -> FitResult:
         raise ValueError(f"k - 1 must be in [1, {min(n, p)}], got {d}")
     t_start = time.perf_counter()
     Xc = center_columns(X)
-    L, _, R = thin_svd(Xc)
+    L, R = _singular_vectors(Xc)
     B = R[:, :d]
     scores = Xc @ B
     labels, centroids = kmeans(scores, k, restarts=20, seed=seed)

@@ -129,19 +129,21 @@ def test_select_k_outputs_curve(dataset, tmp_path):
 
 
 def test_simulate_design_1_table_shapes(tmp_path):
-    out = tmp_path / "sim1"
-    rc = _run(["simulate", "--design", "1", "--replicates", "2", "--n", "24",
-               "--out", str(out)])
-    assert rc == 0
-    with open(out / "replicates.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    assert {r["method"] for r in rows} == {"rsodc", "sodc", "tandem"}
-    agg = json.loads((out / "simulate.json").read_text())
-    assert agg["design"] == 1
-    assert agg["failures"] == 0
-    assert {row["method"] for row in agg["aggregate"]} == {"rsodc", "sodc",
-                                                           "tandem"}
+    # n = 12 has fewer rows than the 20 columns, so every method runs at n < p
+    for n in (24, 12):
+        out = tmp_path / f"sim1_{n}"
+        rc = _run(["simulate", "--design", "1", "--replicates", "2", "--n", str(n),
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "replicates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6
+        assert {r["method"] for r in rows} == {"rsodc", "sodc", "tandem"}
+        agg = json.loads((out / "simulate.json").read_text())
+        assert agg["design"] == 1
+        assert agg["failures"] == 0
+        assert {row["method"] for row in agg["aggregate"]} == {"rsodc", "sodc",
+                                                               "tandem"}
 
 
 def test_simulate_design_5_fixes_the_dataset(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rsodc.core import center_columns
+from rsodc.core import ZERO_TOL, center_columns
 from rsodc.group_lasso import (
     StackedDesign,
     active_set,
@@ -13,7 +13,6 @@ from rsodc.group_lasso import (
     row_soft_threshold,
     solve_B,
     subproblem_objective,
-    update_B,
 )
 
 
@@ -21,6 +20,50 @@ def _random_design(rng, n=8, p=4, d=2, eta2=0.0) -> StackedDesign:
     Xc = center_columns(rng.standard_normal((n, p)))
     Y = rng.standard_normal((n, d))
     return build_stacked(Y, Xc, eta2)
+
+
+# The tall stacked form of the subproblem, materialized: y* stacks vec(Y)
+# (column-major) over p*d zeros, and Z stacks the block-diagonal replication
+# of Xc over sqrt(eta2) * I, with one column group Z_j per variable.
+
+def y_star(design: StackedDesign) -> np.ndarray:
+    return np.concatenate([design.Y.reshape(-1, order="F"),
+                           np.zeros(design.p * design.d)])
+
+
+def z_block(design: StackedDesign, j: int) -> np.ndarray:
+    n, p, d = design.n, design.p, design.d
+    Zj = np.zeros(((n + p) * d, d))
+    for c in range(d):
+        Zj[c * n:(c + 1) * n, c] = design.Xc[:, j]
+        Zj[n * d + c * p + j, c] = np.sqrt(design.eta2)
+    return Zj
+
+
+def apply(design: StackedDesign, B) -> np.ndarray:
+    """Z @ vec(B): vec(Xc @ B) stacked over sqrt(eta2) * vec(B)."""
+    B = np.asarray(B, dtype=float)
+    return np.concatenate([(design.Xc @ B).reshape(-1, order="F"),
+                           np.sqrt(design.eta2) * B.reshape(-1, order="F")])
+
+
+def update_B(B, design: StackedDesign, eta1: float, nu: float,
+             sweeps: int = 1) -> np.ndarray:
+    """Reference proximal-gradient sweeps at the clamped step nu: for each
+    group in turn, beta_j <- S(beta_j + nu (Xc[:, j]^T R - eta2 beta_j), nu eta1)
+    on the residual R = Y - Xc B kept up to date."""
+    B = np.array(B, dtype=float, copy=True)
+    nu = clamp_step(design, nu)
+    R = design.Y - design.Xc @ B
+    for _ in range(int(sweeps)):
+        for j in range(design.p):
+            xj, bj = design.Xc[:, j], B[j]
+            bj_new = group_soft_threshold(bj + nu * (xj @ R - design.eta2 * bj), nu * eta1)
+            if np.linalg.norm(bj_new) < ZERO_TOL:
+                bj_new = np.zeros(design.d)
+            R += np.outer(xj, bj - bj_new)
+            B[j] = bj_new
+    return B
 
 
 def test_group_soft_threshold_hand_values():
@@ -39,17 +82,17 @@ def test_stacked_design_blocks_match_dense_form():
     B = rng.standard_normal((3, 2))
     # dense Z assembled from the blocks must reproduce apply(); the
     # coefficient vector stacks each row (group) of B contiguously
-    Z = np.hstack([design.z_block(j) for j in range(design.p)])
-    np.testing.assert_allclose(Z @ B.reshape(-1), design.apply(B), atol=1e-12)
+    Z = np.hstack([z_block(design, j) for j in range(design.p)])
+    np.testing.assert_allclose(Z @ B.reshape(-1), apply(design, B), atol=1e-12)
     # Z_j^T Z_j is (||Xc[:, j]||^2 + eta2) * I
     for j in range(design.p):
-        Zj = design.z_block(j)
+        Zj = z_block(design, j)
         np.testing.assert_allclose(
             Zj.T @ Zj, (design.col_norms_sq[j] + design.eta2) * np.eye(2),
             atol=1e-12)
     # the objective equals the explicit stacked least squares
-    y = design.y_star()
-    expect = 0.5 * np.sum((y - design.apply(B)) ** 2) + 1.5 * np.sum(
+    y = y_star(design)
+    expect = 0.5 * np.sum((y - apply(design, B)) ** 2) + 1.5 * np.sum(
         np.linalg.norm(B, axis=1))
     assert subproblem_objective(B, design, 1.5) == pytest.approx(expect, rel=1e-12)
 
@@ -113,3 +156,31 @@ def test_row_soft_threshold_shrinks_each_row_like_the_vector_rule():
     for row, thresh, got in zip(Z, t, out):
         np.testing.assert_allclose(got, group_soft_threshold(row, thresh), rtol=1e-14, atol=0)
     assert np.all(out[np.linalg.norm(Z, axis=1) <= t] == 0.0)
+
+
+def test_solve_B_sweep_is_the_exact_group_minimiser():
+    # with orthogonal columns the groups decouple, so one sweep of exact
+    # group updates lands on the closed-form minimiser and the next moves nothing
+    rng = np.random.default_rng(12)
+    Q, _ = np.linalg.qr(center_columns(rng.standard_normal((15, 4))))
+    Xc = Q * np.array([3.0, 1.0, 0.5, 2.0])
+    Xc[:, 2] = 0.0
+    Y = rng.standard_normal((15, 2))
+    for eta2 in (0.0, 0.7):
+        design = build_stacked(Y, Xc, eta2)
+        H = Xc.T @ Y
+        norms = np.sum(Xc * Xc, axis=0)
+        expect = np.array([group_soft_threshold(H[j], 0.8) / (norms[j] + eta2)
+                           if norms[j] + eta2 > 0 else np.zeros(2) for j in range(4)])
+        B, sweeps = solve_B(rng.standard_normal((4, 2)), design, 0.8, 0.001,
+                            epsilon=1e-12)
+        np.testing.assert_allclose(B, expect, atol=1e-12)
+        assert sweeps == 2
+        # a zero column with no ridge stays exactly zero
+        assert eta2 > 0 or not B[2].any()
+
+
+def test_build_stacked_rejects_a_gram_of_the_wrong_shape():
+    design = _random_design(np.random.default_rng(13), n=30, p=6, d=2)
+    with pytest.raises(ValueError):
+        build_stacked(design.Y, design.Xc, 0.3, gram=np.eye(5))

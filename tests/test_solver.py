@@ -223,9 +223,10 @@ def _reference_lloyd(P, centers, max_iter):
         point_d2 = d2[np.arange(n), new_labels]
         for c in range(k):
             if not np.any(new_labels == c):
-                far = int(np.argmax(point_d2))
+                # the farthest point whose cluster keeps another member
+                donors = [i for i in range(n) if np.sum(new_labels == new_labels[i]) > 1]
+                far = max(donors, key=lambda i: (point_d2[i], -i))
                 new_labels[far] = c
-                point_d2[far] = 0.0
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -281,10 +282,9 @@ def test_batched_kmeans_matches_reference_through_empty_cluster_repair(monkeypat
     monkeypatch.setattr(solver, "_repair_empty", counted)
     rng = np.random.default_rng(5)
     # more clusters than distinct points (three, repeated), and k = n with
-    # and without duplicate rows: the repair runs, and where it cannot fill
-    # every cluster the centre of the empty one is NaN in both implementations
+    # and without duplicate rows: the repair runs and fills every cluster
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         P = np.repeat(rng.standard_normal((3, 2)), [10, 6, 4], axis=0)
         for seed in range(4):
             _assert_matches_reference(P, 6, 10, seed)
@@ -292,6 +292,19 @@ def test_batched_kmeans_matches_reference_through_empty_cluster_repair(monkeypat
         for P in (rng.standard_normal((7, 3)), duplicated):
             _assert_matches_reference(P, P.shape[0], 5, seed=1)
     assert repairs and max(repairs) > 0
+
+
+def test_kmeans_with_more_clusters_than_distinct_points_fills_every_cluster():
+    P = np.repeat(np.random.default_rng(5).standard_normal((3, 2)), [10, 6, 4], axis=0)
+    # a singleton first so that the farthest-point rule would empty it
+    P = np.vstack([[9.0, 9.0], P])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(10):
+            labels, centroids = kmeans(P, 6, restarts=10, seed=seed)
+            assert np.isfinite(centroids.M).all()
+            assert set(labels.tolist()) == set(range(1, 7))
+            assert centroids.inertia == pytest.approx(0.0, abs=1e-12)
 
 
 def test_batched_kmeans_memory_is_one_distance_array():
@@ -318,13 +331,43 @@ def test_fits_with_fewer_rows_than_columns():
         np.testing.assert_allclose(fit.Y_hat.sum(axis=0), 0.0, atol=1e-8)
 
 
-def test_unsafe_step_size_warns_once_per_fit():
+def test_fit_ignores_the_step_size_nu():
     X, _ = generate(SimulationConfig(n=200, p=20, k=3, theta=2.5, xi=0.5, seed=3))
-    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01, nu=1.0,
-                           max_outer=5, v_mode="exact")
+    fits = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = fit_rsodc(inst, seed=0)
-    assert fit.outer_iters > 1
-    clamps = [w for w in caught if "exceeds the safe bound" in str(w.message)]
-    assert len(clamps) == 1 and clamps[0].category is RuntimeWarning
+        for nu in (1.0, 0.001):
+            inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01,
+                                   nu=nu, max_outer=5)
+            fits.append(fit_rsodc(inst, seed=0))
+    assert fits[0].outer_iters > 1
+    np.testing.assert_array_equal(fits[0].B_hat, fits[1].B_hat)
+    np.testing.assert_array_equal(fits[0].objective_trace, fits[1].objective_trace)
+    assert not [w for w in caught if "exceeds the safe bound" in str(w.message)]
+
+
+def test_ridge_weight_never_stalls_the_B_step():
+    # the B subproblem must carry the loss's eta2 ||B||^2, or its minimiser
+    # can raise the loss and end the fit on the rollback guard
+    for eta2 in (1.0, 10.0):
+        for seed in range(3):
+            X, _ = generate(SimulationConfig(n=120, p=20, k=3, theta=3.0, xi=0.5,
+                                             seed=seed))
+            inst = ProblemInstance(data=X, k=3, eta1=2.5, eta2=eta2, gamma=0.001,
+                                   rho=0.01)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit = fit_rsodc(inst, seed=0)
+            assert not [w for w in caught if "B step raised" in str(w.message)]
+            assert fit.status == "converged"
+
+
+def test_tandem_baseline_with_fewer_rows_than_columns():
+    X, _ = generate(SimulationConfig(n=12, p=20, k=3, theta=2.5, xi=0.5, seed=3))
+    fit = tandem_baseline(X, 3, seed=0)
+    Xc = X - X.mean(axis=0)
+    assert fit.B_hat.shape == (20, 2) and fit.Y_hat.shape == (12, 2)
+    np.testing.assert_allclose(fit.B_hat.T @ fit.B_hat, np.eye(2), atol=1e-10)
+    # the loadings are the top principal axes: the scores keep the top variances
+    top = np.linalg.svd(Xc, compute_uv=False)[:2]
+    np.testing.assert_allclose(np.linalg.norm(fit.embedding, axis=0), top, rtol=1e-10)
