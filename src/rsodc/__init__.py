@@ -41,7 +41,6 @@ from .model_selection import (
 from .solver import (
     CentroidSet,
     FitResult,
-    convex_clustering,
     fit_rsodc,
     fit_sodc,
     kmeans,
@@ -72,7 +71,6 @@ __all__ = [
     "child_seed",
     "cluster_means",
     "compute_weights",
-    "convex_clustering",
     "fit_rsodc",
     "fit_sodc",
     "gap_statistic",

@@ -188,7 +188,7 @@ def majorizer_value(Y, Q, C, omega: float) -> float:
 
 
 def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
-             mode: str = "paper", diffs=None) -> ScoringState:
+             mode: str, diffs=None) -> ScoringState:
     """Per-edge V step on 1/2 ||v - q_l||^2 + psi_l ||v||, psi_l = gamma * alpha_l / rho.
 
     Here q_l = y_i - y_j - lambda_l / rho. mode="paper" takes one

@@ -152,8 +152,9 @@ def top_eigenvalue_sym(C, n: int | None = None) -> float:
 class ProblemInstance:
     """One clustering problem: the data plus every tuning parameter.
 
-    gamma / rho < 1 is required when both are nonzero; it keeps the
-    per-edge shrinkage factors psi_l = gamma * alpha_l / rho below 1.
+    With v_mode="paper", gamma / rho < 1 is required when gamma > 0: it
+    keeps the step lengths psi_l = gamma * alpha_l / rho of the paper V step
+    below 1. The exact V step has no such bound.
     """
 
     data: np.ndarray
@@ -187,13 +188,13 @@ class ProblemInstance:
             raise ValueError("nu must be > 0")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.gamma > 0 and self.gamma / self.rho >= 1:
-            raise ValueError(
-                f"gamma/rho = {self.gamma / self.rho:.3g} must be < 1 "
-                "(stability filter for the V update)"
-            )
         if self.v_mode not in ("paper", "exact"):
             raise ValueError(f"v_mode must be 'paper' or 'exact', got {self.v_mode!r}")
+        if self.v_mode == "paper" and self.gamma > 0 and self.gamma / self.rho >= 1:
+            raise ValueError(
+                f"gamma/rho = {self.gamma / self.rho:.3g} must be < 1 "
+                "(step length of the paper V update)"
+            )
 
     @property
     def n(self) -> int:

@@ -7,12 +7,16 @@ alpha = 0 are excluded. C = (rho/2) * sum_l g_l g_l^T aggregates the plain
 incidence outer products WITHOUT the alpha weights: the weights enter the
 algorithm only through the per-edge shrinkage thresholds in the V step.
 
-The graph is held as its edge list. With G the n x m incidence matrix whose
-columns are the g_l, every product the solver needs is one of two O(m d)
-edge operations: the gather G^T Y (row differences y_i - y_j) and the
-scatter G T (row t_l added at i, subtracted at j). C Q = (rho/2) G G^T Q is
-a gather followed by a scatter; the dense C is only built when the `C`
-attribute is read.
+The graph exists only as its edge list. The kNN pairs come from
+KNN_BLOCK_ROWS rows of the distance matrix at a time, so building the graph
+takes O(n * KNN_BLOCK_ROWS) working memory beyond the O(m) edges. With G the
+n x m incidence matrix whose columns are the g_l, every product the solver
+needs is one of two O(m d) edge operations: the gather G^T Y (row
+differences y_i - y_j) and the scatter G T (row t_l added at i, subtracted
+at j). C Q = (rho/2) G G^T Q is a gather followed by a scatter. The dense C
+(dense_laplacian) is built only when the `C` attribute is read, for
+inspecting small graphs; no fit reads it, and fits with gamma = 0 build no
+graph at all.
 """
 
 from __future__ import annotations
@@ -106,19 +110,21 @@ def cap_delta(delta: int, n: int) -> int:
 
 
 def knn_indicator(X, delta: int) -> np.ndarray:
-    """Symmetric boolean matrix: True iff j is among i's delta nearest
-    neighbors or i is among j's (union symmetrization).
+    """Pairs (i, j), i < j, with j among i's delta nearest neighbors or i
+    among j's (union symmetrization): an (m, 2) int64 array sorted by (i, j).
 
     Distances are Euclidean over rows. Ties are broken by smaller index.
     Requires 1 <= delta <= n - 1. Squared distances are formed
-    KNN_BLOCK_ROWS rows at a time.
+    KNN_BLOCK_ROWS rows at a time; each block contributes the keys
+    min(i, j) * n + max(i, j) of its neighbor pairs, and one np.unique over
+    all keys gives the union.
     """
     X = check_matrix(X)
     n = X.shape[0]
     if not 1 <= delta <= n - 1:
         raise ValueError(f"delta must be in [1, n-1] = [1, {n - 1}], got {delta}")
     sq = np.sum(X * X, axis=1)
-    ind = np.zeros((n, n), dtype=bool)
+    keys = []
     for r0 in range(0, n, KNN_BLOCK_ROWS):
         r1 = min(r0 + KNN_BLOCK_ROWS, n)
         d2 = sq[r0:r1, None] + sq[None, :] - 2.0 * (X[r0:r1] @ X.T)
@@ -133,30 +139,27 @@ def knn_indicator(X, delta: int) -> np.ndarray:
         tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
         rows, cols = np.nonzero(below | tied)
         rows += r0
-        ind[rows, cols] = True
-        ind[cols, rows] = True
-    return ind
+        keys.append(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    keys = np.unique(np.concatenate(keys)).astype(np.int64)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> FusionGraph:
     """Build the weighted edge set from the data.
 
-    Returns a FusionGraph whose edges are sorted by (i, j) and carry
-    alpha_{i,j} = exp(-tau * ||x_i - x_j||_2^2) on indicated pairs; pairs
-    whose weight underflows to zero are dropped.
+    Returns a FusionGraph whose edges are the kNN pairs, sorted by (i, j),
+    carrying alpha_{i,j} = exp(-tau * ||x_i - x_j||_2^2); pairs whose weight
+    underflows to zero are dropped.
     """
     X = check_matrix(X)
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    n = X.shape[0]
-    iu, ju = np.nonzero(knn_indicator(X, delta))
-    upper = iu < ju
-    edges = np.stack([iu[upper], ju[upper]], axis=1).astype(np.int64)
+    edges = knn_indicator(X, delta)
     diff = edge_gather(X, edges)
     alpha = np.exp(-tau * np.sum(diff * diff, axis=1))
     keep = alpha > 0.0
-    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=n, tau=float(tau),
-                       delta=int(delta))
+    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=X.shape[0],
+                       tau=float(tau), delta=int(delta))
 
 
 def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
@@ -195,9 +198,3 @@ def build_fusion_graph(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA,
     """Convenience: weights then quadratic in one call."""
     return build_quadratic(compute_weights(X, tau, delta), rho)
 
-
-def restrict(graph: FusionGraph, keep: np.ndarray, rho: float) -> FusionGraph:
-    """Sub-graph on a boolean edge mask, with omega recomputed."""
-    sub = FusionGraph(edges=graph.edges[keep], alpha=graph.alpha[keep],
-                      n=graph.n, tau=graph.tau, delta=graph.delta)
-    return build_quadratic(sub, rho)

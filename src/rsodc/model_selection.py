@@ -99,9 +99,10 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     For every combo and each of grid.repeats random half splits (sizes
     floor(n/2) and the rest; splits shared across combos), the solver runs
     on both halves and the kappa of the two selection indicators is
-    recorded. Both halves' graphs use delta capped at floor(n/2) - 1. A
-    failed fit contributes kappa -1 with a warning. The best combo
-    maximizes mean kappa; ties go to the smallest (eta1, gamma, rho).
+    recorded. Both halves' graphs use delta capped at floor(n/2) - 1; combos
+    with gamma = 0 build no graph. A failed fit contributes kappa -1 with a
+    warning. The best combo maximizes mean kappa; ties go to the smallest
+    (eta1, gamma, rho).
 
     Returns
     -------
@@ -132,7 +133,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
                                    gamma=gamma, rho=rho, nu=nu, epsilon=epsilon,
                                    max_outer=max_outer, max_inner=max_inner,
                                    v_mode=v_mode)
-            graph = build_fusion_graph(sub, tau, delta, rho)
+            graph = build_fusion_graph(sub, tau, delta, rho) if gamma > 0.0 else None
             fit = fit_rsodc(inst, graph, seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
@@ -229,11 +230,11 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
                     restarts: int = 10, seed: int = 0, threads: int = 1):
     """Choose the cluster count by the gap statistic on per-k embeddings.
 
-    Each candidate k gets its own solver fit (embedding dimension k - 1);
-    the gap and its standard error are computed on that embedding. The
-    chosen k is the smallest with gap(k) >= gap(k+1) - se(k+1), falling
-    back to the argmax. Candidates whose fit fails are excluded with a
-    warning.
+    Each candidate k gets its own solver fit (embedding dimension k - 1), all
+    on one fusion graph, or none when gamma = 0; the gap and its standard
+    error are computed on that embedding. The chosen k is the smallest with
+    gap(k) >= gap(k+1) - se(k+1), falling back to the argmax. Candidates
+    whose fit fails are excluded with a warning.
 
     Returns
     -------
@@ -246,7 +247,7 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
     for k in ks:
         if k < 2 or k - 1 > min(n, p) or k > n - 1:
             raise ValueError(f"candidate k = {k} out of range for n = {n}, p = {p}")
-    graph = build_fusion_graph(X, tau, cap_delta(delta, n), rho)
+    graph = build_fusion_graph(X, tau, cap_delta(delta, n), rho) if gamma > 0.0 else None
 
     def fit_and_gap(k):
         inst = ProblemInstance(data=X, k=k, eta1=eta1, eta2=eta2, gamma=gamma,

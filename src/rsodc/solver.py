@@ -6,9 +6,10 @@ scoring matrix, tracks the full objective
     1/2 ||Y - Xc B||_F^2 + eta2 ||B||_F^2 + eta1 sum_j ||beta_j||_2
         + gamma sum_l alpha_l ||y_i - y_j||_2,
 
-and post-clusters the embedding Xc @ B_hat with k-means. fit_sodc is the
-gamma = 0 specialization whose Y step is a single Procrustes solve.
-convex_clustering and tandem_baseline are the comparison methods.
+and post-clusters the embedding Xc @ B_hat with k-means. With gamma = 0
+there is no fusion term and no graph: the Y step is a single Procrustes
+solve, and fit_rsodc then equals fit_sodc. tandem_baseline is the
+comparison method.
 
 The reported loss keeps the 1/2 on the fit term; the B subproblem works with
 the same scaling and a ridge weight of 2 eta2, so with Y fixed it is the
@@ -20,6 +21,7 @@ the fit ends with status "stalled", keeping the trace non-increasing.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,12 +37,8 @@ from .fusion_graph import (
     build_fusion_graph,
     build_quadratic,
     cap_delta,
-    dense_laplacian,
-    edge_gather,
-    edge_scatter,
-    restrict,
 )
-from .group_lasso import build_stacked, row_soft_threshold, solve_B
+from .group_lasso import build_stacked, solve_B
 
 OBJECTIVE_SLACK = 1e-8
 
@@ -65,11 +63,7 @@ class FitResult:
 
 @dataclass
 class CentroidSet:
-    """k-means centroids (k x d) with the within-cluster sum of squares.
-
-    The convex-clustering baseline reuses this shape with one fused center
-    per subject (n x p) and the fit residual as inertia.
-    """
+    """k-means centroids (k x d) with the within-cluster sum of squares."""
 
     M: np.ndarray
     inertia: float
@@ -118,30 +112,28 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
-    """Shared outer loop. graph is None exactly when method == 'sodc'."""
+    """Shared outer loop; method only labels the result.
+
+    With gamma > 0 the Y step is the inner ADMM on graph. With gamma = 0 it
+    is one Procrustes solve, and graph is not read (it may be None).
+    """
     t_start = time.perf_counter()
     timings = {"b_step": 0.0, "y_step": 0.0}
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
     p, d = instance.p, instance.d
 
-    # B is drawn before anything else so sodc and the gamma = 0 rsodc path
-    # consume the seed stream identically.
     B = rng.standard_normal((p, d))
     # start from the leading left singular vectors of Xc
     Y0 = _singular_vectors(Xc)[0][:, :d]
 
-    if method == "rsodc":
+    fused = instance.gamma > 0.0
+    if fused:
         graph = _ensure_quadratic(graph, instance.rho)
-        if instance.gamma > 0.0:
-            eff = graph
-        else:
-            eff = restrict(graph, np.zeros(graph.m, dtype=bool), instance.rho)
-        state = init_state(Y0, eff)
-        graph_diagnostics = {"omega": eff.omega, "edges": eff.m}
+        state = init_state(Y0, graph)
+        graph_diagnostics = {"omega": graph.omega, "edges": graph.m}
     else:
-        eff = None
-        graph_diagnostics = {}
+        graph_diagnostics = {"edges": 0}
         state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)),
                              Q=Y0.copy())
 
@@ -170,8 +162,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         t0 = time.perf_counter()
         W = Xc @ B
         prev = (state.Y.copy(), state.V.copy(), state.Lambda.copy())
-        if method == "rsodc":
-            inner_admm(W, state, eff, instance.gamma, instance.rho,
+        if fused:
+            inner_admm(W, state, graph, instance.gamma, instance.rho,
                        epsilon=instance.epsilon, max_inner=instance.max_inner,
                        v_mode=instance.v_mode)
             inner_iterations.append(state.iterations)
@@ -236,7 +228,9 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         Data and weights; v_mode picks the V-step variant.
     graph : FusionGraph, optional
         Fusion graph built on instance.data. Built with default weight
-        parameters when omitted (neighbor count capped at n - 1, with a warning).
+        parameters when omitted (neighbor count capped at n - 1, with a
+        warning); with instance.gamma = 0 none is built or read, and the fit
+        equals fit_sodc's.
     seed : int, SeedSequence, or Generator
         Drives the B initialization and the k-means restarts.
 
@@ -246,7 +240,7 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         Estimates, 1-based labels, the non-increasing objective trace, and
         per-phase timings.
     """
-    if graph is None:
+    if graph is None and instance.gamma > 0.0:
         graph = build_fusion_graph(instance.data, DEFAULT_TAU,
                                    cap_delta(DEFAULT_DELTA, instance.n), instance.rho)
     return _alternate(instance, graph, seed, "rsodc")
@@ -257,14 +251,7 @@ def fit_sodc(instance: ProblemInstance, seed=0) -> FitResult:
 
     Ignores instance.gamma; the objective carries no fusion term.
     """
-    inst = instance
-    if instance.gamma != 0.0:
-        inst = ProblemInstance(data=instance.data, k=instance.k, eta1=instance.eta1,
-                               eta2=instance.eta2, gamma=0.0, rho=instance.rho,
-                               nu=instance.nu, epsilon=instance.epsilon,
-                               max_outer=instance.max_outer,
-                               max_inner=instance.max_inner, v_mode=instance.v_mode)
-    return _alternate(inst, None, seed, "sodc")
+    return _alternate(dataclasses.replace(instance, gamma=0.0), None, seed, "sodc")
 
 
 def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
@@ -367,79 +354,6 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     inertia = np.array([_inertia(P, labels[r], centers[r]) for r in range(restarts)])
     best = int(np.argmin(inertia))
     return labels[best] + 1, CentroidSet(M=centers[best], inertia=float(inertia[best]))
-
-
-def convex_clustering(X, graph: FusionGraph, gamma: float, rho: float,
-                      eps: float = 1e-6, max_iter: int = 1000):
-    """Fused-centroid clustering in the original coordinates.
-
-    ADMM over per-subject centers M: the M step solves the strictly positive
-    definite system (I + rho G) M = X + sum_l g_l (lambda_l + rho v_l)^T
-    exactly, the V step is the exact group soft threshold, and subjects merge
-    when their fitted centers coincide within 1e-6 of the data scale.
-
-    Returns
-    -------
-    (CentroidSet, labels)
-        Per-subject centers with the fit residual as inertia, and 1-based
-        merge labels numbered by first occurrence.
-    """
-    X = check_matrix(X, "X")
-    n = X.shape[0]
-    if gamma < 0 or rho <= 0:
-        raise ValueError("gamma must be >= 0 and rho > 0")
-    edges = graph.edges
-    M = X.copy()
-    V = edge_gather(M, edges)
-    Lam = np.zeros_like(V)
-    psi = gamma * graph.alpha / rho
-    A = np.eye(n) + rho * dense_laplacian(edges, n)
-
-    def loss(Mcur):
-        fid = 0.5 * float(np.sum((X - Mcur) ** 2))
-        diffs = np.linalg.norm(edge_gather(Mcur, edges), axis=1)
-        return fid + gamma * float(graph.alpha @ diffs)
-
-    prev_loss = loss(M)
-    for _ in range(int(max_iter)):
-        M = np.linalg.solve(A, X + edge_scatter(Lam + rho * V, edges, n))
-        diff = edge_gather(M, edges)
-        V = row_soft_threshold(diff - Lam / rho, psi)
-        resid = V - diff
-        Lam = Lam + rho * resid
-        primal = float(np.max(np.linalg.norm(resid, axis=1), initial=0.0))
-        cur_loss = loss(M)
-        if primal <= eps and abs(prev_loss - cur_loss) <= eps * max(1.0, abs(prev_loss)):
-            break
-        prev_loss = cur_loss
-    else:
-        warnings.warn(f"convex clustering hit max_iter = {max_iter}", RuntimeWarning)
-
-    data_scale = max(1.0, float(np.linalg.norm(X)) / np.sqrt(n))
-    tol = 1e-6 * data_scale
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(M[a] - M[b]) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    labels = np.zeros(n, dtype=int)
-    seen = {}
-    for a in range(n):
-        r = find(a)
-        if r not in seen:
-            seen[r] = len(seen) + 1
-        labels[a] = seen[r]
-    inertia = float(np.sum((X - M) ** 2))
-    return CentroidSet(M=M, inertia=inertia), labels
 
 
 def tandem_baseline(X, k: int, seed=0) -> FitResult:

@@ -85,7 +85,17 @@ def test_fit_exit_codes(dataset, tmp_path):
     assert _run(["fit", str(tmp_path / "absent.csv"), "--k", "3"]) == 2
     assert _run(["fit", str(data), "--k", "1"]) == 2
     assert _run(["fit", str(data), "--k", "3", "--gamma", "0.5",
-                 "--rho", "0.01"]) == 2
+                 "--rho", "0.01", "--v-mode", "paper"]) == 2
+
+
+def test_fit_takes_gamma_above_rho_with_the_exact_v_step(dataset, tmp_path):
+    # only the paper V step needs gamma / rho < 1
+    data, _, _, _ = dataset
+    out = tmp_path / "wide"
+    assert _run(["fit", str(data), "--k", "3", "--gamma", "0.02", "--rho", "0.01",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "fit.json").read_text())
+    assert payload["method"] == "rsodc" and payload["params"]["v_mode"] == "exact"
 
 
 def test_tune_outputs_table_and_best(dataset, tmp_path):

@@ -98,11 +98,12 @@ def test_problem_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=3, rho=0.0)
     with pytest.raises(ValueError):
-        ProblemInstance(data=X, k=3, gamma=0.5, rho=0.1)
+        ProblemInstance(data=X, k=3, gamma=0.5, rho=0.1, v_mode="paper")
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=3, v_mode="fast")
-    # the ratio filter only applies when the fusion term is active
-    ProblemInstance(data=X, k=3, gamma=0.0, rho=0.01)
+    # the ratio filter only applies to the paper V step with the fusion term active
+    ProblemInstance(data=X, k=3, gamma=0.0, rho=0.01, v_mode="paper")
+    ProblemInstance(data=X, k=3, gamma=0.5, rho=0.1, v_mode="exact")
 
 
 def test_top_eigenvalue_takes_a_matvec_and_needs_its_dimension():

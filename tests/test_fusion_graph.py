@@ -20,7 +20,6 @@ from rsodc.fusion_graph import (
     edge_scatter,
     incidence_vector,
     knn_indicator,
-    restrict,
 )
 
 
@@ -30,15 +29,14 @@ def _line_points(n: int) -> np.ndarray:
 
 def test_knn_indicator_on_a_line_matches_hand_result():
     # points 0,1,2,3 on a line: each point's single nearest neighbor
-    ind = knn_indicator(_line_points(4), 1)
+    pairs = knn_indicator(_line_points(4), 1)
     expect = np.zeros((4, 4), dtype=bool)
     # 0->1, 1->0 (tie with 2 broken by smaller index), 2->1, 3->2; then union
     for i, j in [(0, 1), (1, 0), (2, 1), (3, 2)]:
         expect[i, j] = True
     expect |= expect.T
-    np.testing.assert_array_equal(ind, expect)
-    assert np.array_equal(ind, ind.T)
-    assert not ind.diagonal().any()
+    assert pairs.dtype == np.int64
+    np.testing.assert_array_equal(pairs, np.argwhere(np.triu(expect)))
 
 
 def test_knn_indicator_validates_delta():
@@ -104,19 +102,6 @@ def test_empty_graph_gets_zero_C_and_floored_omega():
     assert empty.omega == OMEGA_FLOOR
 
 
-def test_restrict_to_empty_mask_drops_all_edges():
-    X = np.random.default_rng(2).standard_normal((6, 2))
-    graph = build_fusion_graph(X, tau=0.1, delta=2, rho=0.05)
-    sub = restrict(graph, np.zeros(graph.m, dtype=bool), 0.05)
-    assert sub.m == 0
-    assert sub.omega == OMEGA_FLOOR
-    keep = np.zeros(graph.m, dtype=bool)
-    keep[0] = True
-    one = restrict(graph, keep, 0.05)
-    assert one.m == 1
-    np.testing.assert_array_equal(one.edges[0], graph.edges[0])
-
-
 # -- omega: a valid majorization constant ------------------------------------
 
 @pytest.mark.parametrize("n, theta, seed, delta, rho", [
@@ -152,7 +137,23 @@ def test_knn_indicator_keeps_the_tie_rule_across_row_blocks(delta):
     grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
     X = grid[np.random.default_rng(4).permutation(side * side)].astype(float)
     assert X.shape[0] > KNN_BLOCK_ROWS
-    np.testing.assert_array_equal(knn_indicator(X, delta), _dense_knn_reference(X, delta))
+    np.testing.assert_array_equal(knn_indicator(X, delta),
+                                  np.argwhere(np.triu(_dense_knn_reference(X, delta))))
+
+
+def test_knn_working_memory_grows_linearly_in_n():
+    # a few KNN_BLOCK_ROWS x n float blocks at a time; an n x n bool alone
+    # would be 144 MB here
+    n = 12000
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
+    tracemalloc.start()
+    try:
+        graph = compute_weights(X, 0.1, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.m >= n * 25 // 2
+    assert peak < 6 * 8 * KNN_BLOCK_ROWS * n
 
 
 # -- the edge operator ---------------------------------------------------------

@@ -182,6 +182,26 @@ def test_select_k_by_gap_curve_is_gap_statistic_on_each_embedding():
         assert curve.se[i] == alone.se[0]
 
 
+def test_zero_fusion_selection_builds_no_graph(monkeypatch):
+    import rsodc.model_selection as ms
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a gamma = 0 fit built a fusion graph")
+
+    monkeypatch.setattr(ms, "build_fusion_graph", no_graph)
+    X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0,), gamma_candidates=(0.0,),
+                     rho_candidates=(0.01,), repeats=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, curve, fits = select_k_by_gap(X, [2, 3], eta1=1.0, gamma=0.0,
+                                         mc_samples=3, restarts=2, seed=1)
+        _, table = stability_cv(X, 3, grid, seed=7)
+    assert curve.k_candidates == [2, 3]
+    assert all(fit.diagnostics["edges"] == 0 for fit in fits.values())
+    assert table[0]["failures"] == 0
+
+
 def test_stability_cv_counts_failed_fits(monkeypatch):
     import rsodc.model_selection as ms
 

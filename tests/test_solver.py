@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+import rsodc.fusion_graph as fusion_graph
 import rsodc.solver as solver
 from rsodc.core import ProblemInstance, center_columns
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import build_fusion_graph
 from rsodc.solver import (
-    convex_clustering,
     fit_rsodc,
     fit_sodc,
     kmeans,
@@ -76,16 +76,24 @@ def test_fit_rsodc_trace_is_monotone_and_constraints_hold():
                                atol=1e-12)
 
 
-def test_fit_rsodc_gamma_zero_matches_fit_sodc_exactly():
+def test_fit_rsodc_gamma_zero_matches_fit_sodc_exactly(monkeypatch):
+    # with no fusion term there is no graph: building one is an error here
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a gamma = 0 fit built a fusion graph")
+
+    for module in (fusion_graph, solver):
+        monkeypatch.setattr(module, "build_fusion_graph", no_graph)
     cfg = SimulationConfig(n=30, p=20, k=3, theta=2.5, xi=0.3, seed=5)
     X, _ = generate(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         a = fit_sodc(ProblemInstance(data=X, k=3, eta1=1.0), seed=4)
         b = fit_rsodc(ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.0), seed=4)
-    assert abs(a.objective_trace[-1] - b.objective_trace[-1]) <= 1e-6
-    np.testing.assert_allclose(a.B_hat, b.B_hat, atol=1e-8)
+    np.testing.assert_array_equal(a.B_hat, b.B_hat)
+    np.testing.assert_array_equal(a.Y_hat, b.Y_hat)
+    np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
     np.testing.assert_array_equal(a.labels, b.labels)
+    assert b.method == "rsodc" and b.diagnostics["edges"] == 0
 
 
 def test_v_mode_exact_also_descends():
@@ -134,33 +142,6 @@ def test_kmeans_is_deterministic_per_seed():
     lb, cb = kmeans(X, 4, restarts=6, seed=42)
     np.testing.assert_array_equal(la, lb)
     np.testing.assert_allclose(ca.M, cb.M)
-
-
-def test_convex_clustering_zero_gamma_returns_data():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((9, 2))
-    graph = build_fusion_graph(X, tau=0.1, delta=3, rho=0.5)
-    centers, labels = convex_clustering(X, graph, gamma=0.0, rho=0.5)
-    np.testing.assert_allclose(centers.M, X, atol=1e-6)
-    assert len(set(labels.tolist())) == 9
-    assert centers.inertia == pytest.approx(0.0, abs=1e-10)
-
-
-def test_convex_clustering_fuses_blobs_then_everything():
-    rng = np.random.default_rng(4)
-    X, truth = _blobs(rng, k=2, per=6, spread=0.05)
-    graph = build_fusion_graph(X, tau=0.0, delta=11, rho=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, labels_mid = convex_clustering(X, graph, gamma=0.05, rho=1.0,
-                                          max_iter=4000)
-        _, labels_big = convex_clustering(X, graph, gamma=50.0, rho=1.0,
-                                          max_iter=4000)
-    from rsodc.metrics import adjusted_rand_index
-    assert adjusted_rand_index(truth, labels_mid) == pytest.approx(1.0)
-    assert len(set(labels_big.tolist())) == 1
-    # labels are numbered by first occurrence
-    assert labels_mid[0] == 1
 
 
 def test_tandem_baseline_shapes_and_recovery():
