@@ -19,7 +19,7 @@ X, truth = generate(SimulationConfig(n=48, p=20, k=3, theta=2.5, xi=0.5, seed=4)
 grid = ParamGrid(eta1_candidates=(0.5, 1.5, 2.5),
                  gamma_candidates=(0.001, 0.005),
                  rho_candidates=(0.01,), repeats=4)
-print(f"grid: {len(grid.combos)} combinations, {grid.repeats} repeats each")
+print(f"grid: {len(grid.combos('exact'))} combinations, {grid.repeats} repeats each")
 
 # ---------------------------------------------------------------------------
 # Run the cross-validation. Fits that stall early warn; that is expected

@@ -166,7 +166,7 @@ def _weight_grid(args, repeats: int = 10):
             gamma_candidates=_parse_list(args.grid_gamma, "--grid-gamma", float),
             rho_candidates=_parse_list(args.grid_rho, "--grid-rho", float),
             repeats=repeats)
-        return grid, grid.combos
+        return grid, grid.combos(args.v_mode)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

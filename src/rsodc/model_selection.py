@@ -24,10 +24,14 @@ PAPER_RHO = (0.01, 0.03, 0.05, 0.07, 0.1)
 
 DISPERSION_FLOOR = 1e-12
 
+# Bound on restarts * n * k, the distance entries held per set, summed over
+# the point sets the gap statistic stacks into one k-means call.
+GAP_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass
 class ParamGrid:
-    """Candidate weights; combos keeps only gamma / rho < 1."""
+    """Candidate weights; combos("paper") keeps only gamma / rho < 1."""
 
     eta1_candidates: tuple = PAPER_ETA1
     gamma_candidates: tuple = PAPER_GAMMA
@@ -38,13 +42,14 @@ class ParamGrid:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
-    @property
-    def combos(self) -> list:
+    def combos(self, v_mode: str) -> list:
+        """Every (eta1, gamma, rho) combination; the paper V step needs
+        gamma / rho < 1, so under v_mode "paper" the others are dropped."""
         out = [(e1, g, r)
                for e1 in self.eta1_candidates
                for g in self.gamma_candidates
                for r in self.rho_candidates
-               if g / r < 1.0]
+               if v_mode != "paper" or g / r < 1.0]
         if not out:
             raise ValueError("no candidate combination satisfies gamma / rho < 1")
         return out
@@ -115,7 +120,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     if n < 4:
         raise ValueError("need n >= 4 for two nonempty halves")
     grid = grid if grid is not None else ParamGrid()
-    combos = grid.combos
+    combos = grid.combos(v_mode)
     half = n // 2
     delta = cap_delta(delta, half)  # the smaller half bounds both graphs
     splits = []
@@ -159,11 +164,6 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     return best, table
 
 
-def _log_dispersion(points, k: int, restarts: int, seed) -> float:
-    _, centroids = kmeans(points, k, restarts=restarts, seed=seed)
-    return float(np.log(max(centroids.inertia, DISPERSION_FLOOR)))
-
-
 def choose_k_from_curve(k_candidates, gap, se) -> int:
     """Smallest k with gap(k) >= gap(next) - se(next); argmax gap fallback."""
     gap = np.asarray(gap, dtype=float)
@@ -185,7 +185,9 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
     squares, floored at 1e-12 before the log. se(k) is the reference
     standard deviation scaled by sqrt(1 + 1/mc_samples). Each k draws its
     own references from the streams (seed, 8, k, b), so the values for one
-    k do not depend on which other candidates are in k_range.
+    k do not depend on which other candidates are in k_range. The data and
+    its draws go to k-means in stacks of up to GAP_BLOCK_ELEMENTS //
+    (restarts n k) sets, seeded from (seed, 7, k) and (seed, 9, k, b).
     """
     P = check_matrix(points, "points")
     n, p = P.shape
@@ -205,17 +207,26 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
         frame = P
     lo, hi = frame.min(axis=0), frame.max(axis=0)
 
+    def draw(k, b):
+        rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
+        ref = lo + rng_b.random((n, p)) * (hi - lo)
+        return ref @ R.T + mu if reference == "pca" else ref
+
     gap = np.empty(len(ks))
     se = np.empty(len(ks))
     for idx, k in enumerate(ks):
-        refs = np.empty(mc_samples)
-        for b in range(mc_samples):
-            rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
-            draw = lo + rng_b.random((n, p)) * (hi - lo)
-            if reference == "pca":
-                draw = draw @ R.T + mu
-            refs[b] = _log_dispersion(draw, k, restarts, child_seed(seed, 9, k, b))
-        gap[idx] = refs.mean() - _log_dispersion(P, k, restarts, child_seed(seed, 7, k))
+        per_block = max(1, GAP_BLOCK_ELEMENTS // (max(1, restarts) * n * k))
+        logs = []
+        # b = -1 is the data, b >= 0 the reference draws
+        for start in range(-1, mc_samples, per_block):
+            block = range(start, min(start + per_block, mc_samples))
+            stack = np.stack([P if b < 0 else draw(k, b) for b in block])
+            seeds = [child_seed(seed, 7, k) if b < 0 else child_seed(seed, 9, k, b)
+                     for b in block]
+            _, centroids = kmeans(stack, k, restarts, seeds)
+            logs.extend(np.log(np.maximum(centroids.inertia, DISPERSION_FLOOR)))
+        refs = np.array(logs[1:])
+        gap[idx] = refs.mean() - logs[0]
         se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
     return GapCurve(k_candidates=ks, gap=gap, se=se,
                     chosen_k=choose_k_from_curve(ks, gap, se))

@@ -63,10 +63,11 @@ class FitResult:
 
 @dataclass
 class CentroidSet:
-    """k-means centroids (k x d) with the within-cluster sum of squares."""
+    """k-means centroids (k x d) with the within-cluster sum of squares; for
+    a stack of S point sets, S x k x d centroids and S sums."""
 
     M: np.ndarray
-    inertia: float
+    inertia: float | np.ndarray
 
 
 def _fusion_term(Y, graph, gamma: float) -> float:
@@ -254,6 +255,14 @@ def fit_sodc(instance: ProblemInstance, seed=0) -> FitResult:
     return _alternate(dataclasses.replace(instance, gamma=0.0), None, seed, "sodc")
 
 
+def _weighted_draw(p: np.ndarray, rng) -> int:
+    """What rng.choice(p.size, p=p) computes after its input checks: the same
+    index from the same draw of the stream."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
     n = P.shape[0]
     centers = np.empty((k, P.shape[1]))
@@ -265,7 +274,7 @@ def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=dist / total))
+            idx = _weighted_draw(dist / total, rng)
         centers[c] = P[idx]
         dist = np.minimum(dist, np.sum((P - centers[c]) ** 2, axis=1))
     return centers
@@ -290,15 +299,16 @@ def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
 def _cluster_means(PT: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster means, a x k x d, for each row of an a x n label array.
 
-    PT is the d x n transposed point set. Cluster c of row i is bin i*k + c;
-    np.bincount adds each cluster's points in row order, as
+    PT stacks the transposed point sets, d x a x n, row i's set at PT[:, i];
+    a single set, d x 1 x n, serves every row. Cluster c of row i is bin
+    i*k + c; np.bincount adds each cluster's points in row order, as
     P[labels == c].mean(axis=0) does for d >= 2.
     """
     a, n = labels.shape
     d = PT.shape[0]
     bins = (labels + (np.arange(a) * k)[:, None]).ravel()
     counts = np.bincount(bins, minlength=a * k)[:, None]
-    columns = np.broadcast_to(PT[:, None, :], (d, a, n)).reshape(d, a * n)
+    columns = np.broadcast_to(PT, (d, a, n)).reshape(d, a * n)
     sums = np.stack([np.bincount(bins, col, minlength=a * k) for col in columns], axis=1)
     return (sums / counts).reshape(a, k, d)
 
@@ -312,34 +322,66 @@ def _inertia(P: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
     return total
 
 
+def _stack(points, seed) -> tuple[np.ndarray, list, bool]:
+    """Points as an S x n x d stack, one seed per set, and whether the
+    input was a single n x d set."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim == 2:
+        return check_matrix(P, "points")[None], [seed], True
+    if P.ndim != 3 or 0 in P.shape or not np.isfinite(P).all():
+        raise ValueError(f"points must be an n x d matrix or a finite, non-empty "
+                         f"S x n x d stack, got shape {P.shape}")
+    seeds = list(seed)
+    if len(seeds) != P.shape[0]:
+        raise ValueError(f"a stack of {P.shape[0]} point sets needs as many seeds, "
+                         f"got {len(seeds)}")
+    return P, seeds, False
+
+
 def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     """Lloyd's algorithm with k-means++ seeding and independent restarts.
 
-    All restarts are seeded first, in restart order, then run through one
-    Lloyd loop over an R x n x k distance array; a restart leaves the loop
-    once its labels stop changing. Empty clusters are repaired by promoting
-    the point farthest from its center. Returns 1-based labels and the best
-    CentroidSet by inertia (ties go to the first restart).
+    points is one n x d set with one seed, or a stack of S sets, S x n x d,
+    with a sequence of S seeds. Each set seeds its restarts first, in
+    restart order, from its own generator. Then every restart of every set
+    runs through one Lloyd loop over an (S R) x n x k distance array, each
+    on its own set's points, and leaves the loop once its labels stop
+    changing. Empty clusters are repaired by promoting the point farthest
+    from its center. Each set keeps its best restart by inertia, ties going
+    to the first. Returns 1-based labels and a CentroidSet: n labels, k x d
+    centres and one inertia for one set; S x n labels, S x k x d centres and
+    S inertias for a stack.
     """
-    P = check_matrix(points, "points")
-    n = P.shape[0]
+    P, seeds, single = _stack(points, seed)
+    S, n, _ = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = as_generator(seed)
     restarts = max(1, int(restarts))
-    centers = np.stack([_kmeans_pp(P, k, rng) for _ in range(restarts)])
-    labels = np.full((restarts, n), -1)
-    P2, PT = 2.0 * P, np.ascontiguousarray(P.T)
-    sq = np.sum(P * P, axis=1)[:, None]
+    centers = []
+    for s in range(S):
+        rng = as_generator(seeds[s])
+        centers += [_kmeans_pp(P[s], k, rng) for _ in range(restarts)]
+    centers = np.stack(centers)
+    owner = np.repeat(np.arange(S), restarts)
+
+    def sets_of(r):
+        # one set's points broadcast over its restarts; a stack gathers
+        # each restart's own set
+        return owner[r] if S > 1 else slice(None)
+
+    labels = np.full((S * restarts, n), -1)
+    P2, PT = 2.0 * P, np.ascontiguousarray(P.transpose(2, 0, 1))
+    sq = np.sum(P * P, axis=2)[:, :, None]
     rows = np.arange(n)
-    active = np.arange(restarts)
+    active = np.arange(S * restarts)
     for _ in range(max_iter):
         if active.size == 0:
             break
+        own = sets_of(active)
         C = centers[active]
         # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-        d2 = np.matmul(P2, C.transpose(0, 2, 1))
-        np.subtract(sq, d2, out=d2)
+        d2 = np.matmul(P2[own], C.transpose(0, 2, 1))
+        np.subtract(sq[own], d2, out=d2)
         d2 += np.sum(C * C, axis=2)[:, None, :]
         np.maximum(d2, 0.0, out=d2)
         new = np.argmin(d2, axis=2)
@@ -350,10 +392,25 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
         moved = (new != labels[active]).any(axis=1)
         active, new = active[moved], new[moved]
         labels[active] = new
-        centers[active] = _cluster_means(PT, new, k)
-    inertia = np.array([_inertia(P, labels[r], centers[r]) for r in range(restarts)])
-    best = int(np.argmin(inertia))
-    return labels[best] + 1, CentroidSet(M=centers[best], inertia=float(inertia[best]))
+        centers[active] = _cluster_means(PT[:, sets_of(active)], new, k)
+    # screen every restart's inertia with one sum, then add up exactly,
+    # cluster by cluster, only the restarts near their set's minimum; the
+    # screen adds the same squares in another order, far within 1e-9
+    diff = np.take_along_axis(centers, labels[:, :, None], axis=1)
+    diff -= P[sets_of(slice(None))]
+    np.square(diff, out=diff)
+    screen = diff.sum(axis=(1, 2)).reshape(S, restarts)
+    best = np.empty(S, dtype=int)
+    inertia = np.empty(S)
+    for s in range(S):
+        near = s * restarts + np.flatnonzero(screen[s] <= screen[s].min() * (1.0 + 1e-9))
+        exact = [_inertia(P[s], labels[r], centers[r]) for r in near]
+        j = int(np.argmin(exact))
+        best[s], inertia[s] = near[j], exact[j]
+    labels, M = labels[best] + 1, centers[best]
+    if single:
+        return labels[0], CentroidSet(M=M[0], inertia=float(inertia[0]))
+    return labels, CentroidSet(M=M, inertia=inertia)
 
 
 def tandem_baseline(X, k: int, seed=0) -> FitResult:

@@ -119,7 +119,18 @@ def test_tune_rejects_malformed_grid(dataset, tmp_path):
     data, _, _, _ = dataset
     assert _run(["tune", str(data), "--k", "3", "--grid-eta1", "a,b"]) == 2
     assert _run(["tune", str(data), "--k", "3", "--grid-gamma", "1",
-                 "--grid-rho", "0.5"]) == 2
+                 "--grid-rho", "0.5", "--v-mode", "paper"]) == 2
+
+
+def test_tune_keeps_gamma_over_rho_above_one_in_exact_mode(dataset, tmp_path):
+    data, _, _, _ = dataset
+    out = tmp_path / "tune"
+    assert _run(["tune", str(data), "--k", "3", "--grid-eta1", "1",
+                 "--grid-gamma", "0.5", "--grid-rho", "0.1", "--repeats", "1",
+                 "--max-outer", "2", "--out", str(out)]) == 0
+    with open(out / "cv_table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["gamma"]), float(r["rho"])) for r in rows] == [(0.5, 0.1)]
 
 
 def test_select_k_outputs_curve(dataset, tmp_path):
@@ -246,7 +257,7 @@ def test_fit_manifest_times_the_graph_build(dataset, tmp_path):
 
 def test_simulate_rejects_a_weight_grid_without_usable_combos(tmp_path):
     assert _run(["simulate", "--design", "2", "--replicates", "1",
-                 "--grid-gamma", "0.5", "--grid-rho", "0.1",
+                 "--grid-gamma", "0.5", "--grid-rho", "0.1", "--v-mode", "paper",
                  "--out", str(tmp_path / "g")]) == 2
 
 

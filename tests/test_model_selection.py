@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import rsodc.model_selection as model_selection
+from rsodc.core import child_seed, thin_svd
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.model_selection import (
     GapCurve,
@@ -16,16 +19,19 @@ from rsodc.model_selection import (
     selection_indicator,
     stability_cv,
 )
+from rsodc.solver import kmeans
 
 
 def test_param_grid_default_combo_count():
     grid = ParamGrid()
-    combos = grid.combos
+    combos = grid.combos("paper")
     # 5 x 5 gamma/rho pairs leave 24 after the gamma/rho < 1 filter
     assert len(combos) == 7 * 24
     assert all(g / r < 1.0 for _, g, r in combos)
     assert (0.1, 0.001, 0.01) in combos
     assert not any(g == 0.01 and r == 0.01 for _, g, r in combos)
+    # the exact V step needs no filter
+    assert len(grid.combos("exact")) == 7 * 25
 
 
 def test_param_grid_validation():
@@ -33,7 +39,7 @@ def test_param_grid_validation():
         ParamGrid(repeats=0)
     bad = ParamGrid(gamma_candidates=(0.5,), rho_candidates=(0.1,))
     with pytest.raises(ValueError):
-        bad.combos
+        bad.combos("paper")
 
 
 def test_selection_indicator():
@@ -128,6 +134,76 @@ def test_gap_statistic_validation_and_determinism():
     np.testing.assert_allclose(a.se, b.se)
     c = gap_statistic(X, [2, 3], mc_samples=10, seed=5, reference="pca")
     assert c.gap.shape == (2,)
+
+
+# The gap statistic as it ran before the draws were stacked: one k-means
+# call for the data and one for each reference draw.
+
+def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
+    n, p = P.shape
+    if reference == "pca":
+        mu = P.mean(axis=0)
+        _, _, R = thin_svd(P - mu)
+        frame = (P - mu) @ R
+    else:
+        frame = P
+    lo, hi = frame.min(axis=0), frame.max(axis=0)
+
+    def log_dispersion(points, k, stream):
+        _, centroids = kmeans(points, k, restarts=restarts, seed=stream)
+        return float(np.log(max(centroids.inertia, 1e-12)))
+
+    gap, se = np.empty(len(ks)), np.empty(len(ks))
+    for idx, k in enumerate(ks):
+        refs = np.empty(mc_samples)
+        for b in range(mc_samples):
+            rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
+            draw = lo + rng_b.random((n, p)) * (hi - lo)
+            if reference == "pca":
+                draw = draw @ R.T + mu
+            refs[b] = log_dispersion(draw, k, child_seed(seed, 9, k, b))
+        gap[idx] = refs.mean() - log_dispersion(P, k, child_seed(seed, 7, k))
+        se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
+    return gap, se
+
+
+@pytest.mark.parametrize("reference", ["uniform", "pca"])
+def test_stacked_gap_statistic_equals_one_call_per_draw(reference, monkeypatch):
+    rng = np.random.default_rng(6)
+    n, restarts, mc_samples, ks = 150, 5, 100, [1, 2, 4]
+    centers = rng.standard_normal((3, 3)) * 4.0
+    P = centers[rng.integers(3, size=n)] + rng.standard_normal((n, 3))
+    calls = []
+
+    def counted(points, *args, **kwargs):
+        calls.append(np.shape(points))
+        return kmeans(points, *args, **kwargs)
+
+    monkeypatch.setattr(model_selection, "kmeans", counted)
+    curve = gap_statistic(P, ks, mc_samples=mc_samples, seed=4, restarts=restarts,
+                          reference=reference)
+    gap, se = _reference_gap(P, ks, mc_samples, 4, restarts, reference)
+    assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
+    # the data and its draws went to k-means in blocks of whole stacks
+    per_block = [model_selection.GAP_BLOCK_ELEMENTS // (restarts * n * k) for k in ks]
+    blocks = [-(-(mc_samples + 1) // b) for b in per_block]
+    assert len(calls) == sum(blocks) and all(b > 1 for b in blocks)
+    assert all(len(shape) == 3 and shape[1:] == (n, 3) for shape in calls)
+    assert sum(shape[0] for shape in calls) == len(ks) * (mc_samples + 1)
+
+
+def test_gap_statistic_memory_is_one_block():
+    n, k, restarts = 4000, 6, 10
+    E = np.random.default_rng(3).standard_normal((n, 5))
+    tracemalloc.start()
+    try:
+        gap_statistic(E, [k], mc_samples=10, seed=0, restarts=restarts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bound of the one-set k-means memory test; the distances of all
+    # eleven sets at once take 21 MB
+    assert peak < 4 * restarts * n * k * 8
 
 
 def test_select_k_by_gap_on_planted_structure():

@@ -300,6 +300,88 @@ def test_batched_kmeans_memory_is_one_distance_array():
     assert peak < 4 * restarts * n * k * 8
 
 
+def test_weighted_draw_matches_generator_choice():
+    weights_rng = np.random.default_rng(11)
+    for n in range(2, 301):
+        for trial in range(3):
+            w = weights_rng.random(n)
+            # runs of zeros, as at points that coincide with a chosen centre
+            w[weights_rng.random(n) < 0.3] = 0.0
+            start = int(weights_rng.integers(n))
+            w[start:start + int(weights_rng.integers(n))] = 0.0
+            w[int(weights_rng.integers(n))] += 0.5
+            p = w / w.sum()
+            rng_new = np.random.default_rng([n, trial])
+            rng_ref = np.random.default_rng([n, trial])
+            assert solver._weighted_draw(p, rng_new) == int(rng_ref.choice(n, p=p))
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _assert_stack_matches_reference(sets, k, restarts, seed):
+    """A stacked call equals the per-restart reference run on each set alone."""
+    seeds = [seed * 100 + s for s in range(len(sets))]
+    rngs_new = [np.random.default_rng(s) for s in seeds]
+    labels, centroids = kmeans(np.stack(sets), k, restarts=restarts, seed=rngs_new)
+    assert labels.shape == (len(sets), sets[0].shape[0])
+    assert centroids.M.shape == (len(sets), k, sets[0].shape[1])
+    assert centroids.inertia.shape == (len(sets),)
+    for s, P in enumerate(sets):
+        rng_ref = np.random.default_rng(seeds[s])
+        ref_labels, ref_centers, ref_inertia = _reference_kmeans(P, k, restarts, rng_ref)
+        np.testing.assert_array_equal(labels[s], ref_labels)
+        np.testing.assert_allclose(centroids.M[s], ref_centers, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(P)))
+        assert centroids.inertia[s] == pytest.approx(ref_inertia, rel=1e-12, abs=1e-300)
+        assert rngs_new[s].bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_stacked_kmeans_matches_per_set_reference(d, k):
+    rng = np.random.default_rng([d, k])
+    sets = []
+    for spread in (0.1, 0.5, 1.0, 3.0):
+        blobs = rng.standard_normal((4, d)) * 3.0
+        sets.append(blobs[rng.integers(4, size=80)] + spread * rng.standard_normal((80, d)))
+    _assert_stack_matches_reference(sets, k, restarts=7, seed=d * 10 + k)
+
+
+def test_stacked_kmeans_matches_reference_through_empty_cluster_repair(monkeypatch):
+    repairs = []
+    real_repair = solver._repair_empty
+
+    def counted(labels, point_d2, k):
+        repairs.append(int(np.sum(np.bincount(labels, minlength=k) == 0)))
+        real_repair(labels, point_d2, k)
+
+    monkeypatch.setattr(solver, "_repair_empty", counted)
+    rng = np.random.default_rng(8)
+    spread = rng.standard_normal((20, 2))
+    # three distinct points for six clusters: the repair has to fill three
+    few = np.repeat(rng.standard_normal((3, 2)), [10, 6, 4], axis=0)
+    # one point twenty times: every draw after the first has zero weight
+    duplicated = np.repeat(rng.standard_normal((1, 2)), 20, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for seed in range(3):
+            _assert_stack_matches_reference([spread, few, duplicated, spread], 6, 10, seed)
+    assert repairs and max(repairs) > 0
+
+
+def test_stacked_kmeans_validates_its_input():
+    sets = np.random.default_rng(0).standard_normal((3, 10, 2))
+    with pytest.raises(ValueError):
+        kmeans(sets, 2, seed=[0, 1])
+    bad = sets.copy()
+    bad[1, 4, 0] = np.nan
+    with pytest.raises(ValueError):
+        kmeans(bad, 2, seed=[0, 1, 2])
+    with pytest.raises(ValueError):
+        kmeans(sets, 11, seed=[0, 1, 2])
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((2, 3, 4, 5)), 2, seed=[0, 1])
+
+
 def test_fits_with_fewer_rows_than_columns():
     X, _ = generate(SimulationConfig(n=12, p=20, k=3, theta=2.5, xi=0.5, seed=3))
     inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01)
