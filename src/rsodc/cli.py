@@ -14,7 +14,8 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -69,32 +70,45 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
     return values
 
 
-def _config_of(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return jsonable(cfg)
-
-
 def _manifest(args, inputs, outputs, timings, threads) -> dict:
     return {
         "command": args.command,
         "version": __version__,
         "seed": int(args.seed),
         "threads": int(threads),
-        "config": _config_of(args),
+        "config": jsonable({k: v for k, v in vars(args).items() if k != "func"}),
         "inputs": [str(p) for p in inputs],
         "outputs": list(outputs),
         "timings": {k: float(v) for k, v in timings.items()},
     }
 
 
-def _instance(X, k, args) -> ProblemInstance:
+@contextmanager
+def _input_errors():
+    """Report a ValueError raised in the block as bad input (exit 2)."""
     try:
-        return ProblemInstance(data=X, k=k, eta1=args.eta1, eta2=args.eta2,
-                               gamma=args.gamma, rho=args.rho, nu=args.nu,
-                               epsilon=args.epsilon, max_outer=args.max_outer,
-                               max_inner=args.max_inner, v_mode=args.v_mode)
+        yield
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _setting_fields() -> list:
+    """The solver settings: ProblemInstance's fields after data and k."""
+    return [f for f in fields(ProblemInstance) if f.name not in ("data", "k")]
+
+
+def _settings(args, *skip) -> dict:
+    """The settings args carries, by field name, less those named in skip."""
+    return {f.name: getattr(args, f.name) for f in _setting_fields() if f.name not in skip}
+
+
+def _instance(X, k, args) -> ProblemInstance:
+    with _input_errors():
+        return ProblemInstance(data=X, k=k, **_settings(args))
+
+
+def _with(args, changes) -> argparse.Namespace:
+    return argparse.Namespace(**dict(vars(args), **changes))
 
 
 def _fit_model(X, args, seed):
@@ -104,11 +118,9 @@ def _fit_model(X, args, seed):
     if args.gamma == 0.0:
         return "sodc", fit_sodc(inst, seed=seed), 0.0
     t_graph = time.perf_counter()
-    try:
+    with _input_errors():
         graph = build_fusion_graph(X, args.tau, cap_delta(args.delta, X.shape[0]),
                                    args.rho)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     graph_s = time.perf_counter() - t_graph
     return "rsodc", fit_rsodc(inst, graph, seed=seed), graph_s
 
@@ -132,11 +144,7 @@ def cmd_fit(args) -> int:
     payload = {
         "method": method,
         "k": args.k,
-        "params": {"eta1": args.eta1, "eta2": args.eta2, "gamma": args.gamma,
-                   "rho": args.rho, "nu": args.nu, "tau": args.tau,
-                   "delta": args.delta, "epsilon": args.epsilon,
-                   "max_outer": args.max_outer, "max_inner": args.max_inner,
-                   "v_mode": args.v_mode},
+        "params": dict(_settings(args), tau=args.tau, delta=args.delta),
         "b_hat": fit.B_hat,
         "y_hat": fit.Y_hat,
         "embedding": fit.embedding,
@@ -160,15 +168,13 @@ def cmd_fit(args) -> int:
 def _weight_grid(args, repeats: int = 10):
     """(ParamGrid, combos) from the --grid-* flags; a grid with no usable
     combination is an input error."""
-    try:
+    with _input_errors():
         grid = ParamGrid(
             eta1_candidates=_parse_list(args.grid_eta1, "--grid-eta1", float),
             gamma_candidates=_parse_list(args.grid_gamma, "--grid-gamma", float),
             rho_candidates=_parse_list(args.grid_rho, "--grid-rho", float),
             repeats=repeats)
         return grid, grid.combos(args.v_mode)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def cmd_tune(args) -> int:
@@ -176,13 +182,11 @@ def cmd_tune(args) -> int:
     threads = _threads(args)
     grid, combos = _weight_grid(args, args.repeats)
     t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
+    with _input_errors(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         best, table = stability_cv(X, args.k, grid, tau=args.tau, delta=args.delta,
-                                   seed=args.seed, eta2=args.eta2, nu=args.nu,
-                                   epsilon=args.epsilon, max_outer=args.max_outer,
-                                   max_inner=args.max_inner, v_mode=args.v_mode,
-                                   threads=threads)
+                                   seed=args.seed, threads=threads,
+                                   **_settings(args, "eta1", "gamma", "rho"))
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -211,11 +215,9 @@ def _k_candidates(args) -> range:
 
 def _select_k(X, ks, args, seed, **options):
     """select_k_by_gap over ks with the solver settings in args."""
-    return select_k_by_gap(
-        X, ks, eta1=args.eta1, eta2=args.eta2, gamma=args.gamma, rho=args.rho,
-        nu=args.nu, tau=args.tau, delta=args.delta, epsilon=args.epsilon,
-        max_outer=args.max_outer, max_inner=args.max_inner, v_mode=args.v_mode,
-        mc_samples=args.mc_samples, seed=seed, **options)
+    return select_k_by_gap(X, ks, tau=args.tau, delta=args.delta,
+                           mc_samples=args.mc_samples, seed=seed, **options,
+                           **_settings(args))
 
 
 def cmd_select_k(args) -> int:
@@ -223,13 +225,10 @@ def cmd_select_k(args) -> int:
     threads = _threads(args)
     ks = _k_candidates(args)
     t0 = time.perf_counter()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            chosen, curve, _ = _select_k(X, ks, args, args.seed,
-                                         restarts=args.restarts, threads=threads)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    with _input_errors(), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        chosen, curve, _ = _select_k(X, ks, args, args.seed,
+                                     restarts=args.restarts, threads=threads)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -255,12 +254,10 @@ def cmd_select_k(args) -> int:
 
 
 def _sim_config(args, seed) -> SimulationConfig:
-    try:
+    with _input_errors():
         return SimulationConfig(n=args.n, p=args.p, k=args.k, theta=args.theta,
                                 xi=args.xi, q=args.q, c_star=args.c_star,
                                 xi_dagger=args.xi_dagger, seed=seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _replicate_fit(args, data, r, changes) -> dict:
@@ -272,7 +269,7 @@ def _replicate_fit(args, data, r, changes) -> dict:
     if changes.get("method") == "tandem":
         fit = tandem_baseline(X, args.k, seed=seed)
     else:
-        fit = _fit_model(X, argparse.Namespace(**dict(vars(args), **changes)), seed)[1]
+        fit = _fit_model(X, _with(args, changes), seed)[1]
     seconds = time.perf_counter() - t0
     sensitivity, specificity = sensitivity_specificity(fit.B_hat, range(1, args.q + 1),
                                                        args.k)
@@ -370,6 +367,17 @@ def _variants(args) -> list:
     return [{}]
 
 
+def _check_variant(args, X, variant) -> None:
+    """InputError unless each fit of the variant takes its settings on X."""
+    if args.design == 3:
+        if args.mc_samples < 1:
+            raise InputError("--mc-samples must be >= 1")
+        for k in variant:
+            _instance(X, k, args)
+    elif variant.get("method") != "tandem":
+        _instance(X, args.k, _with(args, variant))
+
+
 def _aggregate(design: Design, rows) -> list:
     groups = {}
     for row in rows:
@@ -393,6 +401,8 @@ def cmd_simulate(args) -> int:
         # replicate r draws its dataset from the stream (seed, 21, r)
         datasets = [generate(_sim_config(args, child_seed(args.seed, 21, r)))
                     for r in range(1 if design.one_dataset else reps)]
+        for variant in variants:  # every replicate's data has the same shape
+            _check_variant(args, datasets[0][0], variant)
 
         def replicate(item):
             r, variant = item
@@ -451,13 +461,9 @@ def cmd_evaluate(args) -> int:
             warnings.warn(f"{key} unavailable: {exc}", RuntimeWarning)
     if args.informative:
         idx = _parse_list(args.informative, "--informative", int)
-        try:
-            sens, spec = sensitivity_specificity(
+        with _input_errors():
+            metrics["sensitivity"], metrics["specificity"] = sensitivity_specificity(
                 np.asarray(fit["b_hat"], dtype=float), idx, int(fit["k"]))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        metrics["sensitivity"] = sens
-        metrics["specificity"] = spec
     if args.data:
         X = read_matrix_csv(args.data, header=not args.no_header)
         if X.shape[0] != labels.shape[0]:
@@ -483,24 +489,20 @@ def _add_common(p) -> None:
     p.add_argument("--out", default="rsodc_out", help="output directory")
 
 
-def _add_solver(p, eta1=0.0, gamma=0.0, rho=0.01) -> None:
-    p.add_argument("--eta1", type=float, default=eta1, help="row-sparsity weight")
-    p.add_argument("--eta2", type=float, default=0.0, help="ridge weight")
-    p.add_argument("--gamma", type=float, default=gamma, help="fusion weight")
-    p.add_argument("--rho", type=float, default=rho,
-                   help="augmented-Lagrangian weight")
-    p.add_argument("--nu", type=float, default=0.001, help="deprecated; ignored")
+def _add_solver(p, **overrides) -> None:
+    """One flag per ProblemInstance setting, taking its field's type and
+    default unless overrides gives another default; then --tau and --delta."""
+    helps = {"eta1": "row-sparsity weight", "eta2": "ridge weight",
+             "gamma": "fusion weight", "rho": "augmented-Lagrangian weight",
+             "nu": "deprecated; ignored", "epsilon": "convergence threshold",
+             "v_mode": "V step: exact shrinkage or the paper's damped one-step update"}
+    for f in _setting_fields():
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=overrides.get(f.name, f.default), help=helps.get(f.name))
     p.add_argument("--tau", type=float, default=DEFAULT_TAU,
                    help="neighbor weight decay rate")
     p.add_argument("--delta", type=int, default=DEFAULT_DELTA,
                    help="nearest-neighbor count for fusion weights")
-    p.add_argument("--epsilon", type=float, default=1e-6,
-                   help="convergence threshold")
-    p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument("--max-inner", type=int, default=1000)
-    p.add_argument("--v-mode", choices=("paper", "exact"), default="exact",
-                   help="fusion-difference update: exact shrinkage, or the "
-                        "paper's damped one-step update")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -152,9 +152,11 @@ def top_eigenvalue_sym(C, n: int | None = None) -> float:
 class ProblemInstance:
     """One clustering problem: the data plus every tuning parameter.
 
-    With v_mode="paper", gamma / rho < 1 is required when gamma > 0: it
-    keeps the step lengths psi_l = gamma * alpha_l / rho of the paper V step
-    below 1. The exact V step has no such bound.
+    The fields after data and k are the solver settings; this is the one
+    place that names, defaults and checks them. With v_mode="paper",
+    gamma / rho < 1 is required when gamma > 0: it keeps the step lengths
+    psi_l = gamma * alpha_l / rho of the paper V step below 1. The exact V
+    step has no such bound.
     """
 
     data: np.ndarray
@@ -182,12 +184,12 @@ class ProblemInstance:
         for name in ("eta1", "eta2", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        for name in ("rho", "nu", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("max_outer", "max_inner"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.v_mode not in ("paper", "exact"):
             raise ValueError(f"v_mode must be 'paper' or 'exact', got {self.v_mode!r}")
         if self.v_mode == "paper" and self.gamma > 0 and self.gamma / self.rho >= 1:

@@ -99,9 +99,12 @@ class FusionGraph:
 def cap_delta(delta: int, n: int) -> int:
     """The neighbor count usable on n points: delta capped at n - 1.
 
-    Warns once when the cap applies. Each routine that takes a neighbor
-    count caps it here once and hands the result to all of its graphs.
+    Warns once when the cap applies; delta < 1 raises ValueError. Each
+    routine that takes a neighbor count caps it here once and hands the
+    result to all of its graphs.
     """
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
     if delta > n - 1:
         warnings.warn(f"neighbor count {delta} capped at n - 1 = {n - 1}",
                       RuntimeWarning)

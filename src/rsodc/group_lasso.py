@@ -80,7 +80,7 @@ class StackedDesign:
         return self.Y.shape[1]
 
 
-def build_stacked(Y, Xc, eta2: float = 0.0, gram=None) -> StackedDesign:
+def build_stacked(Y, Xc, eta2: float, gram=None) -> StackedDesign:
     """Design from the current scores and the centered data.
 
     gram, when given, is Xc^T Xc; a fit passes the one it formed so that

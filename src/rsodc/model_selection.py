@@ -10,7 +10,7 @@ draws from its bounding box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,18 +96,20 @@ def kappa(a, b) -> float:
 
 
 def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
-                 delta: int = DEFAULT_DELTA, seed: int = 0, eta2: float = 0.0,
-                 nu: float = 0.001, epsilon: float = 1e-6, max_outer: int = 100,
-                 max_inner: int = 1000, v_mode: str = "exact", threads: int = 1):
+                 delta: int = DEFAULT_DELTA, seed: int = 0, threads: int = 1,
+                 **settings):
     """Pick the weight combination whose variable selection is most stable.
 
     For every combo and each of grid.repeats random half splits (sizes
     floor(n/2) and the rest; splits shared across combos), the solver runs
     on both halves and the kappa of the two selection indicators is
-    recorded. Both halves' graphs use delta capped at floor(n/2) - 1; combos
-    with gamma = 0 build no graph. A failed fit contributes kappa -1 with a
-    warning. The best combo maximizes mean kappa; ties go to the smallest
-    (eta1, gamma, rho).
+    recorded. Every fit takes the grid's eta1, gamma and rho and forwards
+    settings (eta2, nu, epsilon, max_outer, max_inner, v_mode) to
+    ProblemInstance; each combo's instance is built before any fit runs, so
+    a setting no fit can take raises ValueError here. Both halves' graphs
+    use delta capped at floor(n/2) - 1; combos with gamma = 0 build no
+    graph. A failed fit contributes kappa -1 with a warning. The best combo
+    maximizes mean kappa; ties go to the smallest (eta1, gamma, rho).
 
     Returns
     -------
@@ -120,25 +122,27 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     if n < 4:
         raise ValueError("need n >= 4 for two nonempty halves")
     grid = grid if grid is not None else ParamGrid()
-    combos = grid.combos(v_mode)
     half = n // 2
-    delta = cap_delta(delta, half)  # the smaller half bounds both graphs
     splits = []
     for r in range(grid.repeats):
         perm = np.random.default_rng(child_seed(seed, 2, r)).permutation(n)
         splits.append((np.sort(perm[:half]), np.sort(perm[half:])))
+    # every combo's instance, checked on the smaller half; the first one only
+    # resolves v_mode, given or by default, for the grid
+    smaller = X[splits[0][0]]
+    combos = grid.combos(ProblemInstance(data=smaller, k=k, **settings).v_mode)
+    instances = [ProblemInstance(data=smaller, k=k, eta1=eta1, gamma=gamma, rho=rho,
+                                 **settings)
+                 for eta1, gamma, rho in combos]
+    delta = cap_delta(delta, half)  # the smaller half bounds both graphs
 
     def split_kappa(item):
         ci, r = item
-        eta1, gamma, rho = combos[ci]
         inds = []
         for side, rows in enumerate(splits[r]):
-            sub = X[rows]
-            inst = ProblemInstance(data=sub, k=k, eta1=eta1, eta2=eta2,
-                                   gamma=gamma, rho=rho, nu=nu, epsilon=epsilon,
-                                   max_outer=max_outer, max_inner=max_inner,
-                                   v_mode=v_mode)
-            graph = build_fusion_graph(sub, tau, delta, rho) if gamma > 0.0 else None
+            inst = replace(instances[ci], data=X[rows])
+            graph = (build_fusion_graph(inst.data, tau, delta, inst.rho)
+                     if inst.gamma > 0.0 else None)
             fit = fit_rsodc(inst, graph, seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
@@ -150,17 +154,11 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     failures = failed.sum(axis=1)
     means = kappas.mean(axis=1)
 
-    table = []
-    for ci, (eta1, gamma, rho) in enumerate(combos):
-        table.append({"eta1": eta1, "gamma": gamma, "rho": rho,
-                      "mean_kappa": float(means[ci]),
-                      "kappas": kappas[ci].tolist(),
-                      "failures": int(failures[ci])})
-    order = sorted(range(len(combos)),
-                   key=lambda ci: (-means[ci],) + combos[ci])
-    bi = order[0]
-    best = {"eta1": combos[bi][0], "gamma": combos[bi][1], "rho": combos[bi][2],
-            "mean_kappa": float(means[bi])}
+    table = [{"eta1": eta1, "gamma": gamma, "rho": rho, "mean_kappa": float(means[ci]),
+              "kappas": kappas[ci].tolist(), "failures": int(failures[ci])}
+             for ci, (eta1, gamma, rho) in enumerate(combos)]
+    bi = min(range(len(combos)), key=lambda ci: (-means[ci],) + combos[ci])
+    best = {key: table[bi][key] for key in ("eta1", "gamma", "rho", "mean_kappa")}
     return best, table
 
 
@@ -196,6 +194,8 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
         raise ValueError("empty k_range")
     if ks[0] < 1 or ks[-1] > n - 1:
         raise ValueError(f"k candidates must lie in [1, {n - 1}]")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     if reference not in ("uniform", "pca"):
         raise ValueError("reference must be 'uniform' or 'pca'")
     if reference == "pca":
@@ -232,20 +232,20 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
                     chosen_k=choose_k_from_curve(ks, gap, se))
 
 
-def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
-                    eta2: float = 0.0, gamma: float = 0.0, rho: float = 0.01,
-                    nu: float = 0.001, tau: float = DEFAULT_TAU,
-                    delta: int = DEFAULT_DELTA, epsilon: float = 1e-6,
-                    max_outer: int = 100, max_inner: int = 1000,
-                    v_mode: str = "exact", mc_samples: int = 100,
-                    restarts: int = 10, seed: int = 0, threads: int = 1):
+def select_k_by_gap(X, k_range=tuple(range(2, 10)), tau: float = DEFAULT_TAU,
+                    delta: int = DEFAULT_DELTA, mc_samples: int = 100,
+                    restarts: int = 10, seed: int = 0, threads: int = 1,
+                    **settings):
     """Choose the cluster count by the gap statistic on per-k embeddings.
 
     Each candidate k gets its own solver fit (embedding dimension k - 1), all
     on one fusion graph, or none when gamma = 0; the gap and its standard
-    error are computed on that embedding. The chosen k is the smallest with
-    gap(k) >= gap(k+1) - se(k+1), falling back to the argmax. Candidates
-    whose fit fails are excluded with a warning.
+    error are computed on that embedding. Every fit forwards settings (eta1,
+    eta2, gamma, rho, nu, epsilon, max_outer, max_inner, v_mode) to
+    ProblemInstance; each candidate's instance is built before any fit
+    runs, so a setting no fit can take raises ValueError here. The chosen
+    k is the smallest with gap(k) >= gap(k+1) - se(k+1), falling back to
+    the argmax. Candidates whose fit fails are excluded with a warning.
 
     Returns
     -------
@@ -253,19 +253,19 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), eta1: float = 0.0,
         fits maps each surviving candidate k to its FitResult.
     """
     X = check_matrix(X, "X")
-    n, p = X.shape
+    n = X.shape[0]
     ks = sorted(set(int(k) for k in k_range))
-    for k in ks:
-        if k < 2 or k - 1 > min(n, p) or k > n - 1:
-            raise ValueError(f"candidate k = {k} out of range for n = {n}, p = {p}")
-    graph = build_fusion_graph(X, tau, cap_delta(delta, n), rho) if gamma > 0.0 else None
+    if not ks or ks[-1] > n - 1:
+        raise ValueError(f"k candidates must lie in [2, {n - 1}], got {ks}")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    instances = {k: ProblemInstance(data=X, k=k, **settings) for k in ks}
+    first = instances[ks[0]]  # every candidate has the same gamma and rho
+    graph = (build_fusion_graph(X, tau, cap_delta(delta, n), first.rho)
+             if first.gamma > 0.0 else None)
 
     def fit_and_gap(k):
-        inst = ProblemInstance(data=X, k=k, eta1=eta1, eta2=eta2, gamma=gamma,
-                               rho=rho, nu=nu, epsilon=epsilon,
-                               max_outer=max_outer, max_inner=max_inner,
-                               v_mode=v_mode)
-        fit = fit_rsodc(inst, graph, seed=child_seed(seed, 5, k))
+        fit = fit_rsodc(instances[k], graph, seed=child_seed(seed, 5, k))
         return fit, gap_statistic(fit.embedding, [k], mc_samples, seed, restarts)
 
     fits, gap, se = {}, [], []

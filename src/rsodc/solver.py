@@ -77,12 +77,12 @@ def _fusion_term(Y, graph, gamma: float) -> float:
     return gamma * float(graph.alpha @ np.linalg.norm(diffs, axis=1))
 
 
-def _objective_terms(Xc, B, Y, graph, eta1: float, eta2: float, gamma: float) -> float:
+def _objective_terms(Xc, B, Y, graph, instance: ProblemInstance) -> float:
     R = Y - Xc @ B
     val = 0.5 * float(np.sum(R * R))
-    val += eta2 * float(np.sum(B * B))
-    val += eta1 * float(np.sum(np.linalg.norm(B, axis=1)))
-    return val + _fusion_term(Y, graph, gamma)
+    val += instance.eta2 * float(np.sum(B * B))
+    val += instance.eta1 * float(np.sum(np.linalg.norm(B, axis=1)))
+    return val + _fusion_term(Y, graph, instance.gamma)
 
 
 def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
@@ -90,13 +90,7 @@ def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
     B = check_matrix(B, "B")
     Y = check_matrix(Y, "Y")
     Xc = center_columns(instance.data)
-    return _objective_terms(Xc, B, Y, graph, instance.eta1, instance.eta2, instance.gamma)
-
-
-def _ensure_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
-    if graph.omega is None or graph.rho != rho:
-        build_quadratic(graph, rho)
-    return graph
+    return _objective_terms(Xc, B, Y, graph, instance)
 
 
 def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +124,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
 
     fused = instance.gamma > 0.0
     if fused:
-        graph = _ensure_quadratic(graph, instance.rho)
+        if graph.omega is None or graph.rho != instance.rho:
+            build_quadratic(graph, instance.rho)
         state = init_state(Y0, graph)
         graph_diagnostics = {"omega": graph.omega, "edges": graph.m}
     else:
@@ -138,11 +133,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)),
                              Q=Y0.copy())
 
-    trace = [_objective_terms(Xc, B, state.Y, graph, instance.eta1, instance.eta2,
-                              instance.gamma)]
+    trace = [_objective_terms(Xc, B, state.Y, graph, instance)]
     gram = Xc.T @ Xc
     inner_iterations: list = []
-    converged = False
     status = "max_outer"
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
@@ -152,8 +145,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         B_new, _ = solve_B(B, design, instance.eta1, instance.nu,
                            epsilon=instance.epsilon)
         timings["b_step"] += time.perf_counter() - t0
-        obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance.eta1,
-                                 instance.eta2, instance.gamma)
+        obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance)
         if obj_b > trace[-1] + OBJECTIVE_SLACK:
             status = "stalled"
             warnings.warn("B step raised the loss; stopping", RuntimeWarning)
@@ -172,8 +164,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             update_Y(state, W)
             inner_iterations.append(1)
         timings["y_step"] += time.perf_counter() - t0
-        obj_y = _objective_terms(Xc, B, state.Y, graph, instance.eta1,
-                                 instance.eta2, instance.gamma)
+        obj_y = _objective_terms(Xc, B, state.Y, graph, instance)
         if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
             state.Y, state.V, state.Lambda = prev
             state.Q = state.Y.copy()
@@ -184,7 +175,6 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             break
         trace.append(obj_y)
         if trace[-2] - trace[-1] < instance.epsilon:
-            converged = True
             status = "converged"
             break
     if status == "max_outer":
@@ -204,7 +194,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         labels=labels,
         objective_trace=np.asarray(trace),
         outer_iters=len(trace) - 1,
-        converged=converged,
+        converged=status == "converged",
         status=status,
         method=method,
         timings=timings,

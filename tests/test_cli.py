@@ -354,3 +354,48 @@ def test_batch_commands_count_warnings_and_fit_status(dataset, tmp_path):
                  "--grid-gamma", "0.001", "--grid-rho", "0.01", "--repeats", "1",
                  "--max-outer", "1", "--out", str(tmp_path / "t")]) == 0
     assert json.loads((tmp_path / "t" / "best_params.json").read_text())["warnings"] >= 1
+
+
+BAD_FLAGS = [
+    ("select-k", ["--eta1", "-1"]),
+    ("select-k", ["--epsilon", "0"]),
+    ("select-k", ["--mc-samples", "0"]),
+    ("tune", ["--eta2", "-1"]),
+    ("tune", ["--epsilon", "0"]),
+    ("tune", ["--delta", "0"]),
+    ("tune", ["--grid-eta1", "-1"]),
+    ("simulate", ["--design", "1", "--eta1", "-1"]),
+    ("simulate", ["--design", "3", "--epsilon", "0"]),
+    ("fit", ["--max-outer", "0"]),
+    ("fit", ["--max-inner", "0", "--gamma", "0.001"]),
+]
+BASE_ARGS = {
+    "select-k": ["--k-min", "2", "--k-max", "3", "--mc-samples", "5"],
+    "tune": ["--k", "3", "--grid-eta1", "1", "--grid-gamma", "0.001",
+             "--grid-rho", "0.01", "--repeats", "1"],
+    "simulate": ["--replicates", "1", "--n", "24", "--k-max", "3", "--mc-samples", "5"],
+    "fit": ["--k", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flags", BAD_FLAGS)
+def test_bad_solver_flags_exit_2_before_any_fit(command, flags, dataset, tmp_path,
+                                                monkeypatch, capsys):
+    import rsodc.cli as cli
+    import rsodc.model_selection as ms
+
+    fits = []
+
+    def no_fit(*args, **kwargs):
+        fits.append(args)
+        raise AssertionError("a fit ran")
+
+    for module, name in ((cli, "fit_rsodc"), (cli, "fit_sodc"),
+                         (cli, "tandem_baseline"), (ms, "fit_rsodc")):
+        monkeypatch.setattr(module, name, no_fit)
+    data = [] if command == "simulate" else [str(dataset[0])]
+    out = tmp_path / "out"
+    rc = _run([command, *data, *BASE_ARGS[command], *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert fits == [] and not out.exists()

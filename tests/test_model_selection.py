@@ -128,6 +128,8 @@ def test_gap_statistic_validation_and_determinism():
         gap_statistic(X, [])
     with pytest.raises(ValueError):
         gap_statistic(X, [2], reference="boxed")
+    with pytest.raises(ValueError):
+        gap_statistic(X, [2], mc_samples=0)
     a = gap_statistic(X, [2, 3], mc_samples=10, seed=5)
     b = gap_statistic(X, [2, 3], mc_samples=10, seed=5)
     np.testing.assert_allclose(a.gap, b.gap)
@@ -299,6 +301,35 @@ def test_stability_cv_counts_failed_fits(monkeypatch):
     assert len([w for w in caught if "diverged" in str(w.message)]) == 3
     assert [row["failures"] for row in table] == [0, 3]
     assert table[1]["kappas"] == [-1.0, -1.0, -1.0]
+
+
+def test_model_selection_forwards_every_setting(monkeypatch):
+    # non-default values; the paper V step needs gamma / rho < 1 below
+    settings = dict(eta2=0.3, nu=0.05, epsilon=1e-5, max_outer=7, max_inner=11,
+                    v_mode="paper")
+    seen = []
+    real_fit = model_selection.fit_rsodc
+
+    def recording_fit(inst, graph, seed):
+        seen.append(inst)
+        return real_fit(inst, graph, seed=seed)
+
+    monkeypatch.setattr(model_selection, "fit_rsodc", recording_fit)
+    X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0,), gamma_candidates=(0.001,),
+                     rho_candidates=(0.01, 0.1), repeats=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, table = stability_cv(X, 3, grid, delta=5, seed=7, **settings)
+        assert len(seen) == 2 * 2 * 2 and [row["failures"] for row in table] == [0, 0]
+        select_k_by_gap(X, [2, 3], eta1=1.0, gamma=0.005, rho=0.05, delta=5,
+                        mc_samples=3, restarts=2, seed=1, **settings)
+    assert len(seen) == 8 + 2
+    for inst in seen:
+        assert {name: getattr(inst, name) for name in settings} == settings
+    assert {inst.rho for inst in seen[:8]} == {0.01, 0.1}
+    assert [(inst.k, inst.eta1, inst.gamma, inst.rho) for inst in seen[8:]] == [
+        (2, 1.0, 0.005, 0.05), (3, 1.0, 0.005, 0.05)]
 
 
 def _cap_warnings(caught) -> int:
