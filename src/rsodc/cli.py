@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, model_selection
 from ._io import (
     InputError,
     jsonable,
@@ -33,7 +33,6 @@ from ._io import (
 from ._svg import scatter_svg
 from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
-from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph, cap_delta
 from .metrics import (
     adjusted_rand_index,
     anova_f_scores,
@@ -43,8 +42,10 @@ from .metrics import (
 from .model_selection import ParamGrid, select_k_by_gap, stability_cv
 from .solver import fit_rsodc, fit_sodc, tandem_baseline
 
-SIM_GRID_TAU = (0.001, 0.005, 0.01, 0.05, 0.1)
-SIM_GRID_DELTA = tuple(range(5, 60, 5))
+# default candidates of the --grid-* flags: tune's, and simulate's (designs 2 and 4)
+TUNE_GRIDS = {"eta1": model_selection.PAPER_ETA1, "gamma": model_selection.PAPER_GAMMA,
+              "rho": model_selection.PAPER_RHO}
+SIM_GRIDS = dict(TUNE_GRIDS, tau=(0.001, 0.005, 0.01, 0.05, 0.1), delta=range(5, 60, 5))
 
 
 def _threads(args) -> int:
@@ -97,9 +98,9 @@ def _setting_fields() -> list:
     return [f for f in fields(ProblemInstance) if f.name not in ("data", "k")]
 
 
-def _settings(args, *skip) -> dict:
-    """The settings args carries, by field name, less those named in skip."""
-    return {f.name: getattr(args, f.name) for f in _setting_fields() if f.name not in skip}
+def _settings(args) -> dict:
+    """The settings args carries (tune's lack the grid's three), by field name."""
+    return {f.name: getattr(args, f.name) for f in _setting_fields() if f.name in args}
 
 
 def _instance(X, k, args) -> ProblemInstance:
@@ -112,24 +113,18 @@ def _with(args, changes) -> argparse.Namespace:
 
 
 def _fit_model(X, args, seed):
-    """Fit the model args describe: sodc when gamma = 0, else rsodc on the
-    kNN fusion graph of X. Returns (method, fit, graph-build seconds)."""
+    """(method, fit) for the model args describe: sodc when gamma = 0, else rsodc."""
     inst = _instance(X, args.k, args)
-    if args.gamma == 0.0:
-        return "sodc", fit_sodc(inst, seed=seed), 0.0
-    t_graph = time.perf_counter()
-    with _input_errors():
-        graph = build_fusion_graph(X, args.tau, cap_delta(args.delta, X.shape[0]),
-                                   args.rho)
-    graph_s = time.perf_counter() - t_graph
-    return "rsodc", fit_rsodc(inst, graph, seed=seed), graph_s
+    if inst.gamma == 0.0:
+        return "sodc", fit_sodc(inst, seed=seed)
+    return "rsodc", fit_rsodc(inst, seed=seed)
 
 
 def cmd_fit(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
     threads = _threads(args)
     t0 = time.perf_counter()
-    method, fit, graph_s = _fit_model(X, args, args.seed)
+    method, fit = _fit_model(X, args, args.seed)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -144,7 +139,7 @@ def cmd_fit(args) -> int:
     payload = {
         "method": method,
         "k": args.k,
-        "params": dict(_settings(args), tau=args.tau, delta=args.delta),
+        "params": _settings(args),
         "b_hat": fit.B_hat,
         "y_hat": fit.Y_hat,
         "embedding": fit.embedding,
@@ -156,8 +151,7 @@ def cmd_fit(args) -> int:
         "inner_iterations": fit.inner_iterations,
         "diagnostics": fit.diagnostics,
         "manifest": _manifest(args, [args.csv], outputs,
-                              dict(fit.timings, graph=graph_s, command=elapsed),
-                              threads),
+                              dict(fit.timings, command=elapsed), threads),
     }
     write_json(os.path.join(args.out, "fit.json"), payload, "fit.schema.json")
     print(f"{method}: status={fit.status} objective={fit.objective_trace[-1]:.6g} "
@@ -184,9 +178,8 @@ def cmd_tune(args) -> int:
     t0 = time.perf_counter()
     with _input_errors(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        best, table = stability_cv(X, args.k, grid, tau=args.tau, delta=args.delta,
-                                   seed=args.seed, threads=threads,
-                                   **_settings(args, "eta1", "gamma", "rho"))
+        best, table = stability_cv(X, args.k, grid, seed=args.seed, threads=threads,
+                                   **_settings(args))
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -215,8 +208,7 @@ def _k_candidates(args) -> range:
 
 def _select_k(X, ks, args, seed, **options):
     """select_k_by_gap over ks with the solver settings in args."""
-    return select_k_by_gap(X, ks, tau=args.tau, delta=args.delta,
-                           mc_samples=args.mc_samples, seed=seed, **options,
+    return select_k_by_gap(X, ks, mc_samples=args.mc_samples, seed=seed, **options,
                            **_settings(args))
 
 
@@ -489,20 +481,27 @@ def _add_common(p) -> None:
     p.add_argument("--out", default="rsodc_out", help="output directory")
 
 
-def _add_solver(p, **overrides) -> None:
-    """One flag per ProblemInstance setting, taking its field's type and
-    default unless overrides gives another default; then --tau and --delta."""
+def _add_solver(p, *skip, **overrides) -> None:
+    """One flag per ProblemInstance setting not named in skip, taking its
+    field's type and default unless overrides gives another default."""
     helps = {"eta1": "row-sparsity weight", "eta2": "ridge weight",
              "gamma": "fusion weight", "rho": "augmented-Lagrangian weight",
              "nu": "deprecated; ignored", "epsilon": "convergence threshold",
-             "v_mode": "V step: exact shrinkage or the paper's damped one-step update"}
+             "v_mode": "V step: exact shrinkage or the paper's damped one-step update",
+             "tau": "neighbor weight decay rate",
+             "delta": "nearest-neighbor count for fusion weights"}
     for f in _setting_fields():
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                       default=overrides.get(f.name, f.default), help=helps.get(f.name))
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                   help="neighbor weight decay rate")
-    p.add_argument("--delta", type=int, default=DEFAULT_DELTA,
-                   help="nearest-neighbor count for fusion weights")
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=overrides.get(f.name, f.default),
+                           help=helps.get(f.name))
+
+
+def _add_grids(p, grids) -> None:
+    """One --grid-<name> flag per entry, defaulting to its values comma-joined."""
+    for name, values in grids.items():
+        p.add_argument(f"--grid-{name}", default=",".join(f"{v:g}" for v in values),
+                       help=f"comma-separated {name} candidates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,22 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--no-header", action="store_true")
-    p.add_argument("--grid-eta1", default="0.1,0.5,1,1.5,2,2.5,3")
-    p.add_argument("--grid-gamma", default="0.001,0.003,0.005,0.007,0.01")
-    p.add_argument("--grid-rho", default="0.01,0.03,0.05,0.07,0.1")
+    _add_grids(p, TUNE_GRIDS)
     p.add_argument("--repeats", type=int, default=10,
                    help="random half-splits per combination")
-    _add_solver(p)
+    _add_solver(p, *TUNE_GRIDS)  # the grid supplies these weights
     _add_common(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("select-k", help="choose the cluster count by gap statistic")
     p.add_argument("csv")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=9)
-    p.add_argument("--mc-samples", type=int, default=100,
+    p.add_argument("--k-min", type=int, default=model_selection.GAP_K_RANGE[0])
+    p.add_argument("--k-max", type=int, default=model_selection.GAP_K_RANGE[-1])
+    p.add_argument("--mc-samples", type=int, default=model_selection.GAP_MC_SAMPLES,
                    help="reference draws per candidate")
-    p.add_argument("--restarts", type=int, default=10,
+    p.add_argument("--restarts", type=int, default=model_selection.GAP_RESTARTS,
                    help="k-means restarts inside the gap computation")
     p.add_argument("--no-header", action="store_true")
     _add_solver(p)
@@ -561,16 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="correlated-noise count (default: by p)")
     p.add_argument("--xi-dagger", type=float, default=0.6,
                    help="correlated-noise correlation")
-    p.add_argument("--grid-eta1", default="0.1,0.5,1,1.5,2,2.5,3",
-                   help="design 2 sweep values")
-    p.add_argument("--grid-gamma", default="0.001,0.003,0.005,0.007,0.01")
-    p.add_argument("--grid-rho", default="0.01,0.03,0.05,0.07,0.1")
-    p.add_argument("--grid-tau", default=",".join(str(v) for v in SIM_GRID_TAU),
-                   help="design 4 sweep values")
-    p.add_argument("--grid-delta", default=",".join(str(v) for v in SIM_GRID_DELTA))
-    p.add_argument("--k-min", type=int, default=2, help="design 3 candidate floor")
-    p.add_argument("--k-max", type=int, default=9, help="design 3 candidate cap")
-    p.add_argument("--mc-samples", type=int, default=100)
+    _add_grids(p, SIM_GRIDS)
+    p.add_argument("--k-min", type=int, default=model_selection.GAP_K_RANGE[0],
+                   help="design 3 candidate floor")
+    p.add_argument("--k-max", type=int, default=model_selection.GAP_K_RANGE[-1],
+                   help="design 3 candidate cap")
+    p.add_argument("--mc-samples", type=int, default=model_selection.GAP_MC_SAMPLES)
     _add_solver(p, eta1=2.5, gamma=0.001, rho=0.01)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)

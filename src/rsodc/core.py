@@ -23,6 +23,10 @@ ZERO_TOL = 1e-12
 # Lanczos steps taken by top_eigenvalue_sym.
 LANCZOS_STEPS = 64
 
+# Defaults of the fusion weights: kernel decay rate and neighbor count.
+DEFAULT_TAU = 0.1
+DEFAULT_DELTA = 25
+
 
 def as_generator(seed) -> np.random.Generator:
     """Return a numpy Generator from an int seed, a SeedSequence, or a Generator."""
@@ -153,10 +157,12 @@ class ProblemInstance:
     """One clustering problem: the data plus every tuning parameter.
 
     The fields after data and k are the solver settings; this is the one
-    place that names, defaults and checks them. With v_mode="paper",
-    gamma / rho < 1 is required when gamma > 0: it keeps the step lengths
-    psi_l = gamma * alpha_l / rho of the paper V step below 1. The exact V
-    step has no such bound.
+    place that names, defaults and checks them. tau and delta set the fusion
+    weights exp(-tau ||x_i - x_j||^2) on the delta-nearest-neighbor pairs
+    (a fit caps delta at n - 1). With v_mode="paper", gamma / rho < 1 is
+    required when gamma > 0: it keeps the step lengths psi_l =
+    gamma * alpha_l / rho of the paper V step below 1. The exact V step has
+    no such bound.
     """
 
     data: np.ndarray
@@ -170,6 +176,8 @@ class ProblemInstance:
     max_outer: int = 100
     max_inner: int = 1000
     v_mode: str = "exact"
+    tau: float = DEFAULT_TAU
+    delta: int = DEFAULT_DELTA
 
     def __post_init__(self):
         self.data = check_matrix(self.data, "data")
@@ -181,13 +189,13 @@ class ProblemInstance:
                 f"k - 1 = {self.k - 1} exceeds min(n, p) = {min(n, p)}; "
                 "the embedding dimension is not representable"
             )
-        for name in ("eta1", "eta2", "gamma"):
+        for name in ("eta1", "eta2", "gamma", "tau"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("rho", "nu", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("max_outer", "max_inner"):
+        for name in ("max_outer", "max_inner", "delta"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.v_mode not in ("paper", "exact"):

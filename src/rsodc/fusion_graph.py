@@ -26,14 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_matrix, top_eigenvalue_sym
+from .core import DEFAULT_DELTA, DEFAULT_TAU, check_matrix, top_eigenvalue_sym
 
 # Floor for omega when the edge set is empty (C = 0): keeps the
 # majorization step defined as a vanishingly small shift toward Q.
 OMEGA_FLOOR = 1e-12
-
-DEFAULT_TAU = 0.1
-DEFAULT_DELTA = 25
 
 # Rows of the distance matrix held at once while building the kNN indicator.
 KNN_BLOCK_ROWS = 256
@@ -99,12 +96,10 @@ class FusionGraph:
 def cap_delta(delta: int, n: int) -> int:
     """The neighbor count usable on n points: delta capped at n - 1.
 
-    Warns once when the cap applies; delta < 1 raises ValueError. Each
-    routine that takes a neighbor count caps it here once and hands the
-    result to all of its graphs.
+    Warns once when the cap applies. Each routine that takes a neighbor
+    count caps it here once and hands the result to all of its graphs;
+    ProblemInstance checks delta >= 1.
     """
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
     if delta > n - 1:
         warnings.warn(f"neighbor count {delta} capped at n - 1 = {n - 1}",
                       RuntimeWarning)

@@ -15,12 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, parallel_map, thin_svd
-from .fusion_graph import DEFAULT_DELTA, DEFAULT_TAU, build_fusion_graph, cap_delta
+from .fusion_graph import build_fusion_graph, cap_delta
 from .solver import fit_rsodc, kmeans
 
 PAPER_ETA1 = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 PAPER_GAMMA = (0.001, 0.003, 0.005, 0.007, 0.01)
 PAPER_RHO = (0.01, 0.03, 0.05, 0.07, 0.1)
+
+# Defaults of the gap-statistic choice of k, shared with the command line.
+GAP_K_RANGE = range(2, 10)
+GAP_MC_SAMPLES = 100
+GAP_RESTARTS = 10
 
 DISPERSION_FLOOR = 1e-12
 
@@ -95,21 +100,20 @@ def kappa(a, b) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
-                 delta: int = DEFAULT_DELTA, seed: int = 0, threads: int = 1,
+def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int = 1,
                  **settings):
     """Pick the weight combination whose variable selection is most stable.
 
     For every combo and each of grid.repeats random half splits (sizes
     floor(n/2) and the rest; splits shared across combos), the solver runs
     on both halves and the kappa of the two selection indicators is
-    recorded. Every fit takes the grid's eta1, gamma and rho and forwards
-    settings (eta2, nu, epsilon, max_outer, max_inner, v_mode) to
-    ProblemInstance; each combo's instance is built before any fit runs, so
-    a setting no fit can take raises ValueError here. Both halves' graphs
-    use delta capped at floor(n/2) - 1; combos with gamma = 0 build no
-    graph. A failed fit contributes kappa -1 with a warning. The best combo
-    maximizes mean kappa; ties go to the smallest (eta1, gamma, rho).
+    recorded. Every fit takes the grid's eta1, gamma and rho, and its other
+    ProblemInstance fields from settings; each combo's instance is built
+    before any fit runs, so a setting no fit can take raises ValueError
+    here. Both halves' graphs use delta capped at floor(n/2) - 1; combos
+    with gamma = 0 build no graph. A failed fit contributes kappa -1 with a
+    warning. The best combo maximizes mean kappa; ties go to the smallest
+    (eta1, gamma, rho).
 
     Returns
     -------
@@ -127,23 +131,20 @@ def stability_cv(X, k: int, grid: ParamGrid = None, tau: float = DEFAULT_TAU,
     for r in range(grid.repeats):
         perm = np.random.default_rng(child_seed(seed, 2, r)).permutation(n)
         splits.append((np.sort(perm[:half]), np.sort(perm[half:])))
-    # every combo's instance, checked on the smaller half; the first one only
-    # resolves v_mode, given or by default, for the grid
-    smaller = X[splits[0][0]]
-    combos = grid.combos(ProblemInstance(data=smaller, k=k, **settings).v_mode)
-    instances = [ProblemInstance(data=smaller, k=k, eta1=eta1, gamma=gamma, rho=rho,
-                                 **settings)
+    # every combo's instance, checked on the smaller half, which also bounds
+    # delta for both halves
+    base = ProblemInstance(data=X[splits[0][0]], k=k, **settings)
+    base = replace(base, delta=cap_delta(base.delta, half))
+    combos = grid.combos(base.v_mode)
+    instances = [replace(base, eta1=eta1, gamma=gamma, rho=rho)
                  for eta1, gamma, rho in combos]
-    delta = cap_delta(delta, half)  # the smaller half bounds both graphs
 
     def split_kappa(item):
         ci, r = item
         inds = []
         for side, rows in enumerate(splits[r]):
             inst = replace(instances[ci], data=X[rows])
-            graph = (build_fusion_graph(inst.data, tau, delta, inst.rho)
-                     if inst.gamma > 0.0 else None)
-            fit = fit_rsodc(inst, graph, seed=child_seed(seed, 3, ci, r, side))
+            fit = fit_rsodc(inst, None, seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
 
@@ -173,8 +174,8 @@ def choose_k_from_curve(k_candidates, gap, se) -> int:
     return ks[int(np.argmax(gap))]
 
 
-def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
-                  restarts: int = 10, reference: str = "uniform") -> GapCurve:
+def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int = 0,
+                  restarts: int = GAP_RESTARTS, reference: str = "uniform") -> GapCurve:
     """Gap curve of a point set over candidate cluster counts.
 
     gap(k) averages log(W*_k) - log(W_k) over mc_samples uniform reference
@@ -232,20 +233,19 @@ def gap_statistic(points, k_range, mc_samples: int = 100, seed: int = 0,
                     chosen_k=choose_k_from_curve(ks, gap, se))
 
 
-def select_k_by_gap(X, k_range=tuple(range(2, 10)), tau: float = DEFAULT_TAU,
-                    delta: int = DEFAULT_DELTA, mc_samples: int = 100,
-                    restarts: int = 10, seed: int = 0, threads: int = 1,
+def select_k_by_gap(X, k_range=GAP_K_RANGE, mc_samples: int = GAP_MC_SAMPLES,
+                    restarts: int = GAP_RESTARTS, seed: int = 0, threads: int = 1,
                     **settings):
     """Choose the cluster count by the gap statistic on per-k embeddings.
 
     Each candidate k gets its own solver fit (embedding dimension k - 1), all
     on one fusion graph, or none when gamma = 0; the gap and its standard
-    error are computed on that embedding. Every fit forwards settings (eta1,
-    eta2, gamma, rho, nu, epsilon, max_outer, max_inner, v_mode) to
-    ProblemInstance; each candidate's instance is built before any fit
-    runs, so a setting no fit can take raises ValueError here. The chosen
-    k is the smallest with gap(k) >= gap(k+1) - se(k+1), falling back to
-    the argmax. Candidates whose fit fails are excluded with a warning.
+    error are computed on that embedding. Every fit takes its ProblemInstance
+    fields but data and k from settings; each candidate's instance is built
+    before any fit runs, so a setting no fit can take raises ValueError
+    here. The chosen k is the smallest with gap(k) >= gap(k+1) - se(k+1),
+    falling back to the argmax. Candidates whose fit fails are excluded
+    with a warning.
 
     Returns
     -------
@@ -260,8 +260,8 @@ def select_k_by_gap(X, k_range=tuple(range(2, 10)), tau: float = DEFAULT_TAU,
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     instances = {k: ProblemInstance(data=X, k=k, **settings) for k in ks}
-    first = instances[ks[0]]  # every candidate has the same gamma and rho
-    graph = (build_fusion_graph(X, tau, cap_delta(delta, n), first.rho)
+    first = instances[ks[0]]  # every candidate has the same graph settings
+    graph = (build_fusion_graph(X, first.tau, cap_delta(first.delta, n), first.rho)
              if first.gamma > 0.0 else None)
 
     def fit_and_gap(k):

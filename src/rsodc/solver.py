@@ -30,14 +30,7 @@ import numpy as np
 
 from .admm_scoring import ScoringState, edge_differences, init_state, inner_admm, update_Y
 from .core import ProblemInstance, as_generator, center_columns, check_matrix, thin_svd
-from .fusion_graph import (
-    DEFAULT_DELTA,
-    DEFAULT_TAU,
-    FusionGraph,
-    build_fusion_graph,
-    build_quadratic,
-    cap_delta,
-)
+from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
 from .group_lasso import build_stacked, solve_B
 
 OBJECTIVE_SLACK = 1e-8
@@ -109,11 +102,17 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop; method only labels the result.
 
-    With gamma > 0 the Y step is the inner ADMM on graph. With gamma = 0 it
-    is one Procrustes solve, and graph is not read (it may be None).
+    With gamma > 0 the Y step is the inner ADMM on graph, built from the
+    instance's tau and delta when None. With gamma = 0 it is one Procrustes
+    solve, and graph is not read (it may be None).
     """
     t_start = time.perf_counter()
-    timings = {"b_step": 0.0, "y_step": 0.0}
+    timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
+    fused = instance.gamma > 0.0
+    if fused and graph is None:
+        graph = build_fusion_graph(instance.data, instance.tau,
+                                   cap_delta(instance.delta, instance.n), instance.rho)
+        timings["graph"] = time.perf_counter() - t_start
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
     p, d = instance.p, instance.d
@@ -122,7 +121,6 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     # start from the leading left singular vectors of Xc
     Y0 = _singular_vectors(Xc)[0][:, :d]
 
-    fused = instance.gamma > 0.0
     if fused:
         if graph.omega is None or graph.rho != instance.rho:
             build_quadratic(graph, instance.rho)
@@ -218,10 +216,11 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
     instance : ProblemInstance
         Data and weights; v_mode picks the V-step variant.
     graph : FusionGraph, optional
-        Fusion graph built on instance.data. Built with default weight
-        parameters when omitted (neighbor count capped at n - 1, with a
-        warning); with instance.gamma = 0 none is built or read, and the fit
-        equals fit_sodc's.
+        Fusion graph built on instance.data. Built from instance.tau and
+        instance.delta when omitted (delta capped at n - 1, with a warning)
+        and timed as timings["graph"], which is 0.0 when a graph is given;
+        with instance.gamma = 0 none is built or read, and the fit equals
+        fit_sodc's.
     seed : int, SeedSequence, or Generator
         Drives the B initialization and the k-means restarts.
 
@@ -231,9 +230,6 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         Estimates, 1-based labels, the non-increasing objective trace, and
         per-phase timings.
     """
-    if graph is None and instance.gamma > 0.0:
-        graph = build_fusion_graph(instance.data, DEFAULT_TAU,
-                                   cap_delta(DEFAULT_DELTA, instance.n), instance.rho)
     return _alternate(instance, graph, seed, "rsodc")
 
 

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+from rsodc import model_selection
 from rsodc._io import write_matrix_csv
-from rsodc.cli import main
+from rsodc.cli import build_parser, main
 from rsodc.datagen import SimulationConfig, generate
 
 
@@ -368,6 +369,9 @@ BAD_FLAGS = [
     ("simulate", ["--design", "3", "--epsilon", "0"]),
     ("fit", ["--max-outer", "0"]),
     ("fit", ["--max-inner", "0", "--gamma", "0.001"]),
+    ("tune", ["--tau", "-1"]),
+    ("fit", ["--tau", "-1"]),
+    ("simulate", ["--design", "4", "--grid-tau", "-1"]),
 ]
 BASE_ARGS = {
     "select-k": ["--k-min", "2", "--k-max", "3", "--mc-samples", "5"],
@@ -399,3 +403,31 @@ def test_bad_solver_flags_exit_2_before_any_fit(command, flags, dataset, tmp_pat
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert fits == [] and not out.exists()
+
+
+def test_tune_has_no_flags_for_the_grid_weights(dataset, tmp_path):
+    # the grid supplies eta1, gamma and rho, so tune takes no single value
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["tune", str(dataset[0]), "--k", "3", "--eta1", "2",
+              "--out", str(tmp_path / "t")])
+    assert exit_info.value.code == 2
+
+
+def test_parser_defaults_come_from_model_selection():
+    parser = build_parser()
+    paper = {"grid_eta1": model_selection.PAPER_ETA1,
+             "grid_gamma": model_selection.PAPER_GAMMA,
+             "grid_rho": model_selection.PAPER_RHO}
+    gap = {"k_min": model_selection.GAP_K_RANGE[0],
+           "k_max": model_selection.GAP_K_RANGE[-1],
+           "mc_samples": model_selection.GAP_MC_SAMPLES}
+    tune = vars(parser.parse_args(["tune", "x.csv", "--k", "3"]))
+    select_k = vars(parser.parse_args(["select-k", "x.csv"]))
+    simulate = vars(parser.parse_args(["simulate", "--design", "1"]))
+    for args in (tune, simulate):
+        for flag, values in paper.items():
+            assert tuple(float(v) for v in args[flag].split(",")) == values
+    assert tune["grid_eta1"] == "0.1,0.5,1,1.5,2,2.5,3"
+    for args in (select_k, simulate):
+        assert {flag: args[flag] for flag in gap} == gap
+    assert select_k["restarts"] == model_selection.GAP_RESTARTS

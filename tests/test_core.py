@@ -105,6 +105,10 @@ def test_problem_instance_validation():
         ProblemInstance(data=X, k=3, max_outer=0)  # no outer iteration would run
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=3, max_inner=0)  # no scoring step would run
+    with pytest.raises(ValueError):
+        ProblemInstance(data=X, k=3, tau=-0.1)  # weights would grow with distance
+    with pytest.raises(ValueError):
+        ProblemInstance(data=X, k=3, delta=0)  # no neighbors, so no fusion graph
     # the ratio filter only applies to the paper V step with the fusion term active
     ProblemInstance(data=X, k=3, gamma=0.0, rho=0.01, v_mode="paper")
     ProblemInstance(data=X, k=3, gamma=0.5, rho=0.1, v_mode="exact")

@@ -10,7 +10,7 @@ import rsodc.fusion_graph as fusion_graph
 import rsodc.solver as solver
 from rsodc.core import ProblemInstance, center_columns
 from rsodc.datagen import SimulationConfig, generate
-from rsodc.fusion_graph import build_fusion_graph
+from rsodc.fusion_graph import build_fusion_graph, compute_weights
 from rsodc.solver import (
     fit_rsodc,
     fit_sodc,
@@ -94,6 +94,21 @@ def test_fit_rsodc_gamma_zero_matches_fit_sodc_exactly(monkeypatch):
     np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert b.method == "rsodc" and b.diagnostics["edges"] == 0
+
+
+def test_fit_rsodc_builds_its_graph_from_the_instance_settings():
+    X, _ = generate(SimulationConfig(n=30, p=20, k=3, theta=2.5, xi=0.3, seed=5))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, max_outer=3,
+                           tau=0.5, delta=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fused = fit_rsodc(inst)
+        given = fit_rsodc(inst, build_fusion_graph(X, 0.5, 3, inst.rho))
+        plain = fit_sodc(inst)
+    assert fused.diagnostics["edges"] == compute_weights(X, 0.5, 3).m
+    assert fused.timings["graph"] > 0.0
+    np.testing.assert_array_equal(fused.B_hat, given.B_hat)
+    assert given.timings["graph"] == 0.0 and plain.timings["graph"] == 0.0
 
 
 def test_v_mode_exact_also_descends():
