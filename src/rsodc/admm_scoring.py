@@ -78,8 +78,8 @@ def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
                diffs=None) -> np.ndarray:
     """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
 
-    With 2 C Q = rho_C sum_l g_l (q_i - q_j)^T (rho_C the rho C was built
-    with), all three edge sums are one scatter:
+    With 2 C Q = rho_C sum_l g_l (q_i - q_j)^T (rho_C the rho the graph is
+    bound to), all three edge sums are one scatter:
     D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho_C (q_i - q_j))^T),
     in O(m d). diffs, when given, are the edge differences of state.Q.
     """
@@ -87,8 +87,8 @@ def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
     n, d = W.shape
     if state.Y.shape != (n, d):
         raise ValueError(f"state Y is {state.Y.shape}, expected {(n, d)}")
-    if graph.rho is None or graph.omega is None:
-        raise ValueError("graph quadratic not built; call build_quadratic first")
+    if graph.rho is None:
+        raise ValueError("graph not bound to a rho; call build_quadratic first")
     if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
         raise ValueError("V/Lambda rows do not align with the graph edge list")
     if diffs is None:

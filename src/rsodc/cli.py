@@ -486,7 +486,7 @@ def _add_solver(p, *skip, **overrides) -> None:
     field's type and default unless overrides gives another default."""
     helps = {"eta1": "row-sparsity weight", "eta2": "ridge weight",
              "gamma": "fusion weight", "rho": "augmented-Lagrangian weight",
-             "nu": "deprecated; ignored", "epsilon": "convergence threshold",
+             "epsilon": "convergence threshold",
              "v_mode": "V step: exact shrinkage or the paper's damped one-step update",
              "tau": "neighbor weight decay rate",
              "delta": "nearest-neighbor count for fusion weights"}

@@ -171,7 +171,6 @@ class ProblemInstance:
     eta2: float = 0.0
     gamma: float = 0.0
     rho: float = 0.01
-    nu: float = 0.001         # deprecated and ignored: the B step takes no step size
     epsilon: float = 1e-6
     max_outer: int = 100
     max_inner: int = 1000
@@ -192,7 +191,7 @@ class ProblemInstance:
         for name in ("eta1", "eta2", "gamma", "tau"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("rho", "nu", "epsilon"):
+        for name in ("rho", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("max_outer", "max_inner", "delta"):

@@ -6,6 +6,8 @@ alpha_{i,j} = indicator(kNN union) * exp(-tau * ||x_i - x_j||^2); pairs with
 alpha = 0 are excluded. C = (rho/2) * sum_l g_l g_l^T aggregates the plain
 incidence outer products WITHOUT the alpha weights: the weights enter the
 algorithm only through the per-edge shrinkage thresholds in the V step.
+A graph does not depend on rho: build_quadratic binds a rho to a copy, so
+one graph serves fits at any rho without being written to.
 
 The graph exists only as its edge list. The kNN pairs come from
 KNN_BLOCK_ROWS rows of the distance matrix at a time, so building the graph
@@ -14,15 +16,14 @@ n x m incidence matrix whose columns are the g_l, every product the solver
 needs is one of two O(m d) edge operations: the gather G^T Y (row
 differences y_i - y_j) and the scatter G T (row t_l added at i, subtracted
 at j). C Q = (rho/2) G G^T Q is a gather followed by a scatter. The dense C
-(dense_laplacian) is built only when the `C` attribute is read, for
-inspecting small graphs; no fit reads it, and fits with gamma = 0 build no
-graph at all.
+(dense_laplacian) is built only when the `C` attribute is read; no fit
+reads it, and fits with gamma = 0 build no graph at all.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,28 +67,39 @@ def dense_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class FusionGraph:
-    """Edge set with weights, plus rho and omega once the quadratic is built."""
+    """Weighted edge set and the top eigenvalue of G G^T; rho only when bound."""
 
     edges: np.ndarray          # (m, 2) int array, each row (i, j) with i < j
     alpha: np.ndarray          # (m,) positive weights
     n: int
-    tau: float
-    delta: int
+    lmax: float | None = None  # top eigenvalue of G G^T, found when None
     rho: float | None = None
-    omega: float | None = None
+
+    def __post_init__(self):
+        if self.lmax is None:
+            self.lmax = top_eigenvalue_sym(self._apply_laplacian, n=self.n) if self.m else 0.0
 
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
 
+    def _apply_laplacian(self, Q: np.ndarray) -> np.ndarray:
+        return edge_scatter(edge_gather(Q, self.edges), self.edges, self.n)
+
     def apply_C(self, Q: np.ndarray) -> np.ndarray:
         """C Q in O(m d) through the edge list."""
-        return (self.rho / 2.0) * edge_scatter(edge_gather(Q, self.edges), self.edges, self.n)
+        return (self.rho / 2.0) * self._apply_laplacian(Q)
+
+    @property
+    def omega(self) -> float | None:
+        """(rho/2) lmax times (1 + 1e-8) against rounding, floored at OMEGA_FLOOR."""
+        if self.rho is None:
+            return None
+        return float(max((self.rho / 2.0) * self.lmax * (1.0 + 1e-8), OMEGA_FLOOR))
 
     @property
     def C(self) -> np.ndarray | None:
-        """The dense n x n quadratic, built on each access; None before
-        build_quadratic. The solver never reads it."""
+        """The dense n x n (rho/2) G G^T, built on each access; no fit reads it."""
         if self.rho is None:
             return None
         return (self.rho / 2.0) * dense_laplacian(self.edges, self.n)
@@ -156,8 +168,7 @@ def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> 
     diff = edge_gather(X, edges)
     alpha = np.exp(-tau * np.sum(diff * diff, axis=1))
     keep = alpha > 0.0
-    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=X.shape[0],
-                       tau=float(tau), delta=int(delta))
+    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=X.shape[0])
 
 
 def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
@@ -174,25 +185,13 @@ def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
 
 
 def build_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
-    """Set rho for C = (rho/2) * sum_l g_l g_l^T and its majorization constant.
-
-    omega is the top eigenvalue of C, found through C's edge matvec and
-    inflated by (1 + 1e-8) so that omega*I - C stays PSD under floating
-    point; an empty edge set (C = 0) floors omega at 1e-12.
-    """
+    """A copy of graph bound to rho, sharing its arrays; graph is left as it was."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    graph.rho = float(rho)
-    if graph.m > 0:
-        omega = top_eigenvalue_sym(graph.apply_C, n=graph.n) * (1.0 + 1e-8)
-    else:
-        omega = OMEGA_FLOOR
-    graph.omega = float(max(omega, OMEGA_FLOOR))
-    return graph
+    return replace(graph, rho=float(rho))
 
 
 def build_fusion_graph(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA,
                        rho: float = 0.01) -> FusionGraph:
-    """Convenience: weights then quadratic in one call."""
+    """Convenience: weights, then the graph bound to rho."""
     return build_quadratic(compute_weights(X, tau, delta), rho)
-

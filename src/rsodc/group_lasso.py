@@ -143,7 +143,7 @@ def clamp_step(design: StackedDesign, nu: float) -> float:
     return nu
 
 
-def solve_B(B, design: StackedDesign, eta1: float, nu: float,
+def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
             epsilon: float = 1e-6, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, int]:
     """Exact group block coordinate descent on the Gram form of the subproblem.
 

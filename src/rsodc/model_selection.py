@@ -110,10 +110,10 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     recorded. Every fit takes the grid's eta1, gamma and rho, and its other
     ProblemInstance fields from settings; each combo's instance is built
     before any fit runs, so a setting no fit can take raises ValueError
-    here. Both halves' graphs use delta capped at floor(n/2) - 1; combos
-    with gamma = 0 build no graph. A failed fit contributes kappa -1 with a
-    warning. The best combo maximizes mean kappa; ties go to the smallest
-    (eta1, gamma, rho).
+    here. One graph per half, delta capped at floor(n/2) - 1, serves every
+    combo's fit there at its own rho (none when every gamma is 0). A failed
+    fit contributes kappa -1 with a warning. The best combo maximizes mean
+    kappa; ties go to the smallest (eta1, gamma, rho).
 
     Returns
     -------
@@ -138,13 +138,16 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     combos = grid.combos(base.v_mode)
     instances = [replace(base, eta1=eta1, gamma=gamma, rho=rho)
                  for eta1, gamma, rho in combos]
+    fused = any(gamma > 0.0 for _, gamma, _ in combos)
+    graphs = [[build_fusion_graph(X[rows], base.tau, base.delta) if fused else None
+               for rows in pair] for pair in splits]
 
     def split_kappa(item):
         ci, r = item
         inds = []
         for side, rows in enumerate(splits[r]):
             inst = replace(instances[ci], data=X[rows])
-            fit = fit_rsodc(inst, None, seed=child_seed(seed, 3, ci, r, side))
+            fit = fit_rsodc(inst, graphs[r][side], seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
         return kappa(inds[0], inds[1])
 

@@ -102,9 +102,9 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop; method only labels the result.
 
-    With gamma > 0 the Y step is the inner ADMM on graph, built from the
-    instance's tau and delta when None. With gamma = 0 it is one Procrustes
-    solve, and graph is not read (it may be None).
+    With gamma > 0 the Y step is the inner ADMM on a copy of graph bound
+    to instance.rho, built from the instance's tau and delta when None.
+    With gamma = 0 it is one Procrustes solve, and graph is not read.
     """
     t_start = time.perf_counter()
     timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
@@ -122,8 +122,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     Y0 = _singular_vectors(Xc)[0][:, :d]
 
     if fused:
-        if graph.omega is None or graph.rho != instance.rho:
-            build_quadratic(graph, instance.rho)
+        graph = build_quadratic(graph, instance.rho)
         state = init_state(Y0, graph)
         graph_diagnostics = {"omega": graph.omega, "edges": graph.m}
     else:
@@ -140,8 +139,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
         # so the subproblem gets 2 eta2 and the B step minimises the loss in B
         design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
-        B_new, _ = solve_B(B, design, instance.eta1, instance.nu,
-                           epsilon=instance.epsilon)
+        B_new, _ = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
         timings["b_step"] += time.perf_counter() - t0
         obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance)
         if obj_b > trace[-1] + OBJECTIVE_SLACK:
@@ -216,11 +214,11 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
     instance : ProblemInstance
         Data and weights; v_mode picks the V-step variant.
     graph : FusionGraph, optional
-        Fusion graph built on instance.data. Built from instance.tau and
-        instance.delta when omitted (delta capped at n - 1, with a warning)
-        and timed as timings["graph"], which is 0.0 when a graph is given;
-        with instance.gamma = 0 none is built or read, and the fit equals
-        fit_sodc's.
+        Fusion graph on instance.data, built for any rho (the fit binds its
+        own to a copy). Built from instance.tau and instance.delta when
+        omitted (delta capped at n - 1, with a warning) and timed as
+        timings["graph"], 0.0 when a graph is given; with instance.gamma = 0
+        none is built or read, and the fit equals fit_sodc's.
     seed : int, SeedSequence, or Generator
         Drives the B initialization and the k-means restarts.
 

@@ -413,6 +413,14 @@ def test_tune_has_no_flags_for_the_grid_weights(dataset, tmp_path):
     assert exit_info.value.code == 2
 
 
+def test_fit_has_no_step_size_flag(dataset, tmp_path):
+    # the B step takes no step size, so there is no --nu
+    with pytest.raises(SystemExit) as exit_info:
+        _run(["fit", str(dataset[0]), "--k", "3", "--nu", "0.01",
+              "--out", str(tmp_path / "f")])
+    assert exit_info.value.code == 2
+
+
 def test_parser_defaults_come_from_model_selection():
     parser = build_parser()
     paper = {"grid_eta1": model_selection.PAPER_ETA1,

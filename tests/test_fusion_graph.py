@@ -95,9 +95,8 @@ def test_build_quadratic_matches_outer_product_sum():
 
 
 def test_empty_graph_gets_zero_C_and_floored_omega():
-    empty = FusionGraph(edges=np.zeros((0, 2), dtype=np.int64), alpha=np.zeros(0),
-                        n=5, tau=0.1, delta=2)
-    build_quadratic(empty, 0.01)
+    empty = build_quadratic(FusionGraph(edges=np.zeros((0, 2), dtype=np.int64),
+                                        alpha=np.zeros(0), n=5), 0.01)
     np.testing.assert_array_equal(empty.C, np.zeros((5, 5)))
     assert empty.omega == OMEGA_FLOOR
 
@@ -114,6 +113,11 @@ def test_omega_bounds_the_top_eigenvalue_of_C(n, theta, seed, delta, rho):
     graph = build_fusion_graph(X, 0.1, delta, rho)
     top = float(np.linalg.eigvalsh(graph.C)[-1])
     assert top <= graph.omega <= top * (1.0 + 1e-6)
+    # the same graph bound at other rho values: each omega bounds its own C
+    for other in (0.01, 0.05, 1.0, 2.0):
+        bound = build_quadratic(graph, other)
+        top = float(np.linalg.eigvalsh(bound.C)[-1])
+        assert top <= bound.omega <= top * (1.0 + 1e-6)
 
 
 # -- kNN: the stable-argsort tie rule across row blocks ----------------------
@@ -176,7 +180,7 @@ def test_edge_operator_reproduces_C():
 
 def test_edge_operator_on_the_empty_graph():
     empty = build_quadratic(FusionGraph(edges=np.zeros((0, 2), dtype=np.int64),
-                                        alpha=np.zeros(0), n=4, tau=0.1, delta=2), 0.5)
+                                        alpha=np.zeros(0), n=4), 0.5)
     Q = np.arange(8.0).reshape(4, 2)
     assert edge_gather(Q, empty.edges).shape == (0, 2)
     np.testing.assert_array_equal(edge_scatter(np.zeros((0, 2)), empty.edges, 4),

@@ -68,15 +68,16 @@ def test_kappa_degenerate_overrides():
 def test_stability_cv_is_reproducible_and_thread_invariant():
     cfg = SimulationConfig(n=24, p=20, k=3, theta=3.0, xi=0.5, seed=2)
     X, _ = generate(cfg)
+    # two rho values: threads read each half's one graph at both
     grid = ParamGrid(eta1_candidates=(1.0, 2.5), gamma_candidates=(0.001,),
-                     rho_candidates=(0.01,), repeats=2)
+                     rho_candidates=(0.01, 0.1), repeats=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         best1, table1 = stability_cv(X, 3, grid, delta=5, seed=7, threads=1)
         best2, table2 = stability_cv(X, 3, grid, delta=5, seed=7, threads=3)
     assert best1 == best2
     assert table1 == table2
-    assert len(table1) == 2
+    assert len(table1) == 4
     assert all(len(row["kappas"]) == 2 for row in table1)
     assert {row["eta1"] for row in table1} == {1.0, 2.5}
     means = [np.mean(row["kappas"]) for row in table1]
@@ -280,6 +281,32 @@ def test_zero_fusion_selection_builds_no_graph(monkeypatch):
     assert table[0]["failures"] == 0
 
 
+def test_stability_cv_builds_one_graph_per_half(monkeypatch):
+    import rsodc.model_selection as ms
+    import rsodc.solver as solver
+
+    real_build = ms.build_fusion_graph
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a fit built its own fusion graph")
+
+    monkeypatch.setattr(ms, "build_fusion_graph", counting_build)
+    monkeypatch.setattr(solver, "build_fusion_graph", no_graph)
+    X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    grid = ParamGrid(eta1_candidates=(1.0,), gamma_candidates=(0.001, 0.005),
+                     rho_candidates=(0.01, 0.1), repeats=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, table = stability_cv(X, 3, grid, delta=5, seed=7)
+    assert len(builds) == 2 * grid.repeats
+    assert [row["failures"] for row in table] == [0, 0, 0, 0]
+
+
 def test_stability_cv_counts_failed_fits(monkeypatch):
     import rsodc.model_selection as ms
 
@@ -305,7 +332,7 @@ def test_stability_cv_counts_failed_fits(monkeypatch):
 
 def test_model_selection_forwards_every_setting(monkeypatch):
     # non-default values; the paper V step needs gamma / rho < 1 below
-    settings = dict(eta2=0.3, nu=0.05, epsilon=1e-5, max_outer=7, max_inner=11,
+    settings = dict(eta2=0.3, epsilon=1e-5, max_outer=7, max_inner=11,
                     v_mode="paper")
     seen = []
     real_fit = model_selection.fit_rsodc

@@ -10,7 +10,7 @@ import rsodc.fusion_graph as fusion_graph
 import rsodc.solver as solver
 from rsodc.core import ProblemInstance, center_columns
 from rsodc.datagen import SimulationConfig, generate
-from rsodc.fusion_graph import build_fusion_graph, compute_weights
+from rsodc.fusion_graph import build_fusion_graph, build_quadratic, compute_weights
 from rsodc.solver import (
     fit_rsodc,
     fit_sodc,
@@ -186,6 +186,20 @@ def test_fit_rsodc_reports_omega_and_edge_count():
     assert fit.diagnostics["edges"] == graph.m
     # gamma = 0 runs the scoring step on the empty edge set
     assert fused_off.diagnostics["edges"] == 0
+
+
+def test_fit_binds_its_own_rho_without_mutating_the_graph():
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.5, xi=0.5, seed=2))
+    graph = build_fusion_graph(X, tau=0.1, delta=5, rho=0.01)
+    before = (graph.rho, graph.omega, graph.edges.copy(), graph.alpha.copy())
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.1, max_outer=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_rsodc(inst, graph, seed=0)
+    assert (graph.rho, graph.omega) == before[:2]
+    np.testing.assert_array_equal(graph.edges, before[2])
+    np.testing.assert_array_equal(graph.alpha, before[3])
+    assert fit.diagnostics["omega"] == build_quadratic(graph, 0.1).omega
 
 
 # Per-restart k-means as it ran before the restarts were batched: seed one
@@ -407,21 +421,6 @@ def test_fits_with_fewer_rows_than_columns():
         assert fit.Y_hat.shape == (12, 2)
         np.testing.assert_allclose(fit.Y_hat.T @ fit.Y_hat, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(fit.Y_hat.sum(axis=0), 0.0, atol=1e-8)
-
-
-def test_fit_ignores_the_step_size_nu():
-    X, _ = generate(SimulationConfig(n=200, p=20, k=3, theta=2.5, xi=0.5, seed=3))
-    fits = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for nu in (1.0, 0.001):
-            inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, rho=0.01,
-                                   nu=nu, max_outer=5)
-            fits.append(fit_rsodc(inst, seed=0))
-    assert fits[0].outer_iters > 1
-    np.testing.assert_array_equal(fits[0].B_hat, fits[1].B_hat)
-    np.testing.assert_array_equal(fits[0].objective_trace, fits[1].objective_trace)
-    assert not [w for w in caught if "exceeds the safe bound" in str(w.message)]
 
 
 def test_ridge_weight_never_stalls_the_B_step():
