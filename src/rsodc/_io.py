@@ -4,9 +4,11 @@ round-trips, schema-validated JSON emission, and input diagnostics."""
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -21,8 +23,20 @@ def read_matrix_csv(path, header: bool = True) -> np.ndarray:
     """Parse a numeric CSV into an n x p array.
 
     Reports the offending 1-based row and column on parse failures. The
-    header row, when present, is skipped without interpretation.
+    header row, when present, is skipped without interpretation. A plain
+    numeric file is read by np.loadtxt, in half the time; whatever it
+    rejects goes through the csv parser below, which names the cell at
+    fault.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+            X = np.loadtxt(path, delimiter=",", skiprows=int(header), comments=None,
+                           ndmin=2, encoding="utf-8")
+        if X.size:
+            return X
+    except (ValueError, OSError, UserWarning):
+        pass
     rows = []
     width = None
     try:
@@ -101,6 +115,8 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f" and np.isfinite(value).all()):
+            return value.tolist()  # already plain ints, bools and finite floats
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -122,10 +138,57 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+@functools.cache
+def _validator(schema_name: str):
+    """A validator for the bundled schema, itself checked once per process."""
+    schema = load_schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _finite_matrix(key: str, value) -> None:
+    A = _array(key, value)
+    if A.ndim != 2 or A.dtype.kind not in "iuf" or not np.isfinite(A).all():
+        raise jsonschema.ValidationError(f"{key} is not a 2-d array of finite numbers")
+
+
+def _labels(key: str, value) -> None:
+    L = _array(key, value)
+    if (L.ndim != 1 or L.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(L) & (L >= 1) & (np.floor(L) == L))):
+        raise jsonschema.ValidationError(f"{key} is not a 1-d array of integers >= 1")
+
+
+def _array(key: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except ValueError as exc:  # ragged nested lists
+        raise jsonschema.ValidationError(f"{key}: {exc}") from None
+
+
+# schema definitions whose payload entries write_json checks with numpy
+ARRAY_CHECKS = {"#/$defs/matrix": _finite_matrix, "#/$defs/labels": _labels}
+
+
 def write_json(path, payload: dict, schema_name: str) -> None:
-    """Validate the payload against the bundled schema, then write it."""
+    """Validate the payload against the bundled schema, then write it.
+
+    A top-level entry whose schema refers to the matrix or labels definition
+    is checked as a whole with numpy (a 2-d array of finite numbers; a 1-d
+    array of integers >= 1), and jsonschema sees an empty array in its
+    place; it validates the rest as before. Checking the arrays entry by
+    entry through the schema took 0.3 s for an n = 4000 fit.json.
+    """
+    validator = _validator(schema_name)
+    checked = {}
+    for key, spec in validator.schema.get("properties", {}).items():
+        check = ARRAY_CHECKS.get(spec.get("$ref"))
+        if check is not None and key in payload:
+            check(key, payload[key])
+            checked[key] = []
     payload = jsonable(payload)
-    jsonschema.validate(payload, load_schema(schema_name))
+    validator.validate(dict(payload, **checked))
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")

@@ -33,6 +33,7 @@ from ._io import (
 from ._svg import scatter_svg
 from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
+from .fusion_graph import build_fusion_graph, cap_delta
 from .metrics import (
     adjusted_rand_index,
     anova_f_scores,
@@ -112,12 +113,17 @@ def _with(args, changes) -> argparse.Namespace:
     return argparse.Namespace(**dict(vars(args), **changes))
 
 
-def _fit_model(X, args, seed):
-    """(method, fit) for the model args describe: sodc when gamma = 0, else rsodc."""
+def _fit_model(X, args, seed, graph=None):
+    """(method, fit) for the model args describe: sodc when gamma = 0, else
+    rsodc on graph, which the fit builds when None."""
     inst = _instance(X, args.k, args)
     if inst.gamma == 0.0:
         return "sodc", fit_sodc(inst, seed=seed)
-    return "rsodc", fit_rsodc(inst, seed=seed)
+    if graph is not None:
+        # a fit on a shared graph warns of a capped delta as one that builds
+        # its own does, so simulate counts the same warnings either way
+        cap_delta(inst.delta, inst.n)
+    return "rsodc", fit_rsodc(inst, graph, seed=seed)
 
 
 def cmd_fit(args) -> int:
@@ -255,13 +261,13 @@ def _sim_config(args, seed) -> SimulationConfig:
 def _replicate_fit(args, data, r, changes) -> dict:
     """Designs 1, 2, 4 and 5: fit replicate r's data with args updated by
     changes, or with the tandem baseline when changes["method"] says so."""
-    X, truth = data
+    X, truth, graph = data
     seed = child_seed(args.seed, 22, r)
     t0 = time.perf_counter()
     if changes.get("method") == "tandem":
         fit = tandem_baseline(X, args.k, seed=seed)
     else:
-        fit = _fit_model(X, _with(args, changes), seed)[1]
+        fit = _fit_model(X, _with(args, changes), seed, graph)[1]
     seconds = time.perf_counter() - t0
     sensitivity, specificity = sensitivity_specificity(fit.B_hat, range(1, args.q + 1),
                                                        args.k)
@@ -302,10 +308,11 @@ def _summary(column: str, rows: list):
 class Design:
     """One simulation design: what a replicate runs and how rows aggregate.
 
-    replicate(args, (X, truth), r, variant) returns one row as a dict, and
-    columns picks the replicates.csv header from it. Rows with equal values
-    in the group columns make one aggregate.csv row: those values, then one
-    _summary per summary column.
+    replicate(args, (X, truth, graph), r, variant) returns one row as a
+    dict, graph being the dataset's shared fusion graph or None (see
+    _shared_graphs), and columns picks the replicates.csv header from it.
+    Rows with equal values in the group columns make one aggregate.csv row:
+    those values, then one _summary per summary column.
     """
 
     replicate: Callable
@@ -359,6 +366,20 @@ def _variants(args) -> list:
     return [{}]
 
 
+def _shared_graphs(args, datasets, variants) -> list:
+    """One fusion graph per dataset, at args' tau and delta (capped at
+    n - 1; each fit warns of the cap), when every fit of the variants takes
+    those and some has gamma > 0; otherwise None per dataset, and each fit
+    that needs a graph builds its own (design 4 sweeps tau and delta,
+    design 3 runs select-k)."""
+    fits = [v for v in variants if isinstance(v, dict) and v.get("method") != "tandem"]
+    if (any("tau" in v or "delta" in v for v in fits)
+            or not any(v.get("gamma", args.gamma) > 0.0 for v in fits)):
+        return [None] * len(datasets)
+    return [build_fusion_graph(X, args.tau, min(args.delta, X.shape[0] - 1))
+            for X, _ in datasets]
+
+
 def _check_variant(args, X, variant) -> None:
     """InputError unless each fit of the variant takes its settings on X."""
     if args.design == 3:
@@ -395,6 +416,8 @@ def cmd_simulate(args) -> int:
                     for r in range(1 if design.one_dataset else reps)]
         for variant in variants:  # every replicate's data has the same shape
             _check_variant(args, datasets[0][0], variant)
+        datasets = [(X, truth, graph) for (X, truth), graph
+                    in zip(datasets, _shared_graphs(args, datasets, variants))]
 
         def replicate(item):
             r, variant = item

@@ -91,6 +91,22 @@ def center_columns(X) -> np.ndarray:
     return A - A.mean(axis=0, keepdims=True)
 
 
+def row_norms(Z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (m, d) array.
+
+    Squares and adds the columns one at a time, then takes the root: one
+    vector operation per column. np.linalg.norm(Z, axis=1) reduces each
+    short row on its own and took 10x longer on (75 935, 2) edge arrays.
+    The sums add the columns in the same order, so for d <= 7 the result
+    equals np.linalg.norm bit for bit; from d = 8 numpy sums pairwise and
+    the two differ in the last bit (up to 3.1e-16 relative, measured).
+    """
+    sq = np.zeros(Z.shape[0])
+    for col in Z.T:
+        sq += col * col
+    return np.sqrt(sq, out=sq)
+
+
 def thin_svd(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of an n x d matrix with d <= n.
 

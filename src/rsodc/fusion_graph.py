@@ -67,7 +67,11 @@ def dense_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class FusionGraph:
-    """Weighted edge set and the top eigenvalue of G G^T; rho only when bound."""
+    """Weighted edge set and the top eigenvalue of G G^T; rho only when bound.
+
+    The edge list is stored in Fortran order, so that each endpoint column
+    is one contiguous index array for the gathers and scatters.
+    """
 
     edges: np.ndarray          # (m, 2) int array, each row (i, j) with i < j
     alpha: np.ndarray          # (m,) positive weights
@@ -76,6 +80,7 @@ class FusionGraph:
     rho: float | None = None
 
     def __post_init__(self):
+        self.edges = np.asfortranarray(self.edges)
         if self.lmax is None:
             self.lmax = top_eigenvalue_sym(self._apply_laplacian, n=self.n) if self.m else 0.0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ZERO_TOL, check_matrix
+from .core import ZERO_TOL, check_matrix, row_norms
 
 MAX_SWEEPS = 100
 
@@ -103,7 +103,7 @@ def group_soft_threshold(phi, t: float) -> np.ndarray:
 
 def row_soft_threshold(Z, t) -> np.ndarray:
     """group_soft_threshold applied to every row of Z, row l at threshold t[l]."""
-    norms = np.linalg.norm(Z, axis=1)
+    norms = row_norms(Z)
     scale = np.where(norms > t, 1.0 - t / np.maximum(norms, np.finfo(float).tiny), 0.0)
     return Z * scale[:, None]
 

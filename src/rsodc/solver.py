@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admm_scoring import ScoringState, edge_differences, init_state, inner_admm, update_Y
-from .core import ProblemInstance, as_generator, center_columns, check_matrix, thin_svd
+from .core import (ProblemInstance, as_generator, center_columns, check_matrix, row_norms,
+                   thin_svd)
 from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
 from .group_lasso import build_stacked, solve_B
 
@@ -67,15 +68,16 @@ def _fusion_term(Y, graph, gamma: float) -> float:
     if gamma == 0.0 or graph is None or graph.m == 0:
         return 0.0
     diffs = edge_differences(Y, graph)
-    return gamma * float(graph.alpha @ np.linalg.norm(diffs, axis=1))
+    return gamma * float(graph.alpha @ row_norms(diffs))
 
 
-def _objective_terms(Xc, B, Y, graph, instance: ProblemInstance) -> float:
+def _objective_terms(Xc, B, Y, fusion: float, instance: ProblemInstance) -> float:
+    """The loss at (B, Y), given its fusion term at Y."""
     R = Y - Xc @ B
     val = 0.5 * float(np.sum(R * R))
     val += instance.eta2 * float(np.sum(B * B))
     val += instance.eta1 * float(np.sum(np.linalg.norm(B, axis=1)))
-    return val + _fusion_term(Y, graph, instance.gamma)
+    return val + fusion
 
 
 def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
@@ -83,7 +85,7 @@ def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
     B = check_matrix(B, "B")
     Y = check_matrix(Y, "Y")
     Xc = center_columns(instance.data)
-    return _objective_terms(Xc, B, Y, graph, instance)
+    return _objective_terms(Xc, B, Y, _fusion_term(Y, graph, instance.gamma), instance)
 
 
 def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +132,10 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)),
                              Q=Y0.copy())
 
-    trace = [_objective_terms(Xc, B, state.Y, graph, instance)]
+    # the fusion term changes only with Y: evaluated once per accepted Y, it
+    # serves the B step's check and the next trace entry
+    fusion = _fusion_term(state.Y, graph, instance.gamma)
+    trace = [_objective_terms(Xc, B, state.Y, fusion, instance)]
     gram = Xc.T @ Xc
     inner_iterations: list = []
     status = "max_outer"
@@ -141,7 +146,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
         B_new, _ = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
         timings["b_step"] += time.perf_counter() - t0
-        obj_b = _objective_terms(Xc, B_new, state.Y, graph, instance)
+        obj_b = _objective_terms(Xc, B_new, state.Y, fusion, instance)
         if obj_b > trace[-1] + OBJECTIVE_SLACK:
             status = "stalled"
             warnings.warn("B step raised the loss; stopping", RuntimeWarning)
@@ -150,7 +155,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
 
         t0 = time.perf_counter()
         W = Xc @ B
-        prev = (state.Y.copy(), state.V.copy(), state.Lambda.copy())
+        # the scoring steps replace Y, V and Lambda rather than write into
+        # them, so the arrays themselves are the rollback snapshot
+        prev = (state.Y, state.V, state.Lambda)
         if fused:
             inner_admm(W, state, graph, instance.gamma, instance.rho,
                        epsilon=instance.epsilon, max_inner=instance.max_inner,
@@ -160,7 +167,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             update_Y(state, W)
             inner_iterations.append(1)
         timings["y_step"] += time.perf_counter() - t0
-        obj_y = _objective_terms(Xc, B, state.Y, graph, instance)
+        fusion_y = _fusion_term(state.Y, graph, instance.gamma)
+        obj_y = _objective_terms(Xc, B, state.Y, fusion_y, instance)
         if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
             state.Y, state.V, state.Lambda = prev
             state.Q = state.Y.copy()
@@ -169,6 +177,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             warnings.warn("scoring step raised the loss; keeping the previous "
                           "iterate and stopping", RuntimeWarning)
             break
+        fusion = fusion_y
         trace.append(obj_y)
         if trace[-2] - trace[-1] < instance.epsilon:
             status = "converged"

@@ -439,3 +439,26 @@ def test_parser_defaults_come_from_model_selection():
     for args in (select_k, simulate):
         assert {flag: args[flag] for flag in gap} == gap
     assert select_k["restarts"] == model_selection.GAP_RESTARTS
+
+
+@pytest.mark.parametrize("flags, builds", [
+    (["--design", "2", "--replicates", "2", "--grid-eta1", "2.5",
+      "--grid-gamma", "0.001", "--grid-rho", "0.01,0.05,0.1"], 2),
+    (["--design", "5", "--replicates", "3", "--gamma", "0.001"], 1),
+])
+def test_simulate_builds_one_fusion_graph_per_dataset(flags, builds, tmp_path,
+                                                      monkeypatch):
+    import rsodc.fusion_graph as fusion_graph
+
+    real = fusion_graph.compute_weights
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion_graph, "compute_weights", counting)
+    assert _run(["simulate", *flags, "--n", "60", "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == builds
+    summary = json.loads((tmp_path / "sim" / "simulate.json").read_text())
+    assert summary["failures"] == 0

@@ -12,6 +12,7 @@ from rsodc.core import (
     check_matrix,
     child_seed,
     parallel_map,
+    row_norms,
     thin_svd,
     top_eigenvalue_sym,
 )
@@ -143,3 +144,21 @@ def test_parallel_map_keeps_order_and_turns_each_failure_into_none(threads):
     assert len(caught) == 4
     assert all(w.category is RuntimeWarning for w in caught)
     assert sorted(str(w.message) for w in caught)[0] == "halve_even failed on 1: odd 1"
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_norms_equal_numpy_bit_for_bit_below_eight_columns(d):
+    rng = np.random.default_rng(d)
+    Z = rng.standard_normal((500, d)) * np.exp(rng.uniform(-30, 30, (500, 1)))
+    np.testing.assert_array_equal(row_norms(Z), np.linalg.norm(Z, axis=1))
+    assert row_norms(np.zeros((0, d))).shape == (0,)
+
+
+def test_row_norms_from_eight_columns_differ_from_numpy_in_the_last_bit():
+    # numpy sums rows of 8 or more pairwise; the column-wise sum is another
+    # order of the same additions
+    rng = np.random.default_rng(8)
+    for d in (8, 9, 16):
+        Z = rng.standard_normal((2000, d))
+        ref = np.linalg.norm(Z, axis=1)
+        assert np.max(np.abs(row_norms(Z) - ref) / ref) <= 4e-16

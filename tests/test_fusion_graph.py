@@ -206,3 +206,12 @@ def test_graph_build_and_inner_admm_never_hold_an_n_by_n_float():
         tracemalloc.stop()
     assert state.iterations >= 1
     assert peak < 8 * n * n
+
+
+def test_graph_keeps_each_endpoint_column_contiguous():
+    X, _ = generate(SimulationConfig(n=50, p=20, k=3, theta=2.2, xi=0.5, seed=1))
+    graph = compute_weights(X, 0.1, 5)
+    assert graph.edges.flags.f_contiguous
+    np.testing.assert_array_equal(graph.edges, knn_indicator(X, 5))
+    bound = build_quadratic(graph, 0.1)
+    assert bound.edges is graph.edges

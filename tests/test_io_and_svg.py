@@ -143,3 +143,64 @@ def test_scatter_svg_degenerate_inputs(tmp_path):
     for c in root.findall(".//s:circle", ns):
         assert math.isfinite(float(c.get("cx")))
         assert math.isfinite(float(c.get("cy")))
+
+
+def _fit_payload(n: int = 6) -> dict:
+    rng = np.random.default_rng(0)
+    return {"method": "rsodc", "k": 3, "params": {"eta1": 1.0},
+            "b_hat": rng.standard_normal((4, 2)), "y_hat": rng.standard_normal((n, 2)),
+            "embedding": rng.standard_normal((n, 2)), "labels": np.arange(n) % 3 + 1,
+            "objective_trace": np.array([2.0, 1.5]), "converged": True,
+            "status": "converged", "outer_iters": 1, "inner_iterations": [3],
+            "diagnostics": {"omega": 0.1},
+            "manifest": {"command": "fit", "version": "0", "seed": 0, "threads": 1,
+                         "config": {}, "inputs": [], "outputs": [], "timings": {}}}
+
+
+def test_write_json_writes_the_arrays_entry_by_entry(tmp_path):
+    payload = _fit_payload()
+    path = tmp_path / "fit.json"
+    write_json(path, payload, "fit.schema.json")
+    written = json.loads(path.read_text())
+    for key in ("b_hat", "y_hat", "embedding", "labels"):
+        assert written[key] == payload[key].tolist()
+    assert path.read_text() == json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("y_hat", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, np.nan, a)),
+    ("embedding", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, np.inf, a)),
+    ("b_hat", lambda a: a[:, 0]),
+    ("b_hat", lambda a: [[1.0], [1.0, 2.0]]),
+    ("labels", lambda a: np.concatenate([[0], a[1:]])),
+    ("labels", lambda a: a + 0.5),
+])
+def test_write_json_rejects_bad_fit_arrays(tmp_path, key, bad):
+    jsonschema = pytest.importorskip("jsonschema")
+    payload = _fit_payload()
+    payload[key] = bad(payload[key])
+    with pytest.raises(jsonschema.ValidationError):
+        write_json(tmp_path / "bad.json", payload, "fit.schema.json")
+    del payload[key]
+    with pytest.raises(jsonschema.ValidationError):
+        write_json(tmp_path / "missing.json", payload, "fit.schema.json")
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_read_matrix_csv_parses_like_the_csv_parser(tmp_path):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((9, 4)) * np.array([1e-300, 1.0, 1e7, 1e300])
+    plain = tmp_path / "plain.csv"
+    write_matrix_csv(plain, X, ["a", "b", "c", "d"])
+    # a quoted cell is legal CSV that np.loadtxt rejects: the csv parser reads it
+    quoted = tmp_path / "quoted.csv"
+    lines = plain.read_text().splitlines()
+    first = lines[1].split(",")
+    lines[1] = ",".join([f'"{first[0]}"'] + first[1:])
+    quoted.write_text("\n".join(lines) + "\n")
+    np.testing.assert_array_equal(read_matrix_csv(plain), X)
+    np.testing.assert_array_equal(read_matrix_csv(quoted), X)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a,b\n")
+    with pytest.raises(InputError, match="no data rows"):
+        read_matrix_csv(header_only)

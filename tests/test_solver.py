@@ -448,3 +448,20 @@ def test_tandem_baseline_with_fewer_rows_than_columns():
     # the loadings are the top principal axes: the scores keep the top variances
     top = np.linalg.svd(Xc, compute_uv=False)[:2]
     np.testing.assert_allclose(np.linalg.norm(fit.embedding, axis=0), top, rtol=1e-10)
+
+
+@pytest.mark.parametrize("gamma, rho, status", [(0.001, 0.01, "converged"),
+                                                (0.5, 0.1, "stalled")])
+def test_last_trace_entry_is_the_loss_at_the_returned_estimates(gamma, rho, status):
+    # the fit evaluates the fusion term once per accepted Y; after a stall the
+    # rolled-back Y must come back with its own fusion term
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.2, xi=0.5, seed=0))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=gamma, rho=rho)
+    graph = build_fusion_graph(X, inst.tau, inst.delta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_rsodc(inst, graph, seed=0)
+    assert fit.status == status
+    if status == "stalled":
+        assert any("scoring step raised the loss" in str(w.message) for w in caught)
+    assert fit.objective_trace[-1] == objective(inst, fit.B_hat, fit.Y_hat, graph)
