@@ -225,8 +225,8 @@ def cmd_select_k(args) -> int:
     t0 = time.perf_counter()
     with _input_errors(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        chosen, curve, _ = _select_k(X, ks, args, args.seed,
-                                     restarts=args.restarts, threads=threads)
+        chosen, curve, fits = _select_k(X, ks, args, args.seed,
+                                        restarts=args.restarts, threads=threads)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -240,6 +240,11 @@ def cmd_select_k(args) -> int:
         "k_candidates": curve.k_candidates,
         "gap": curve.gap,
         "se": curve.se,
+        # one entry per candidate, in k_candidates order
+        "status": [fits[k].status for k in curve.k_candidates],
+        "outer_iters": [fits[k].outer_iters for k in curve.k_candidates],
+        "fits_stalled": sum(fit.status == "stalled" for fit in fits.values()),
+        "fits_max_outer": sum(fit.status == "max_outer" for fit in fits.values()),
         "warnings": len(caught),
         "manifest": _manifest(args, [args.csv], outputs,
                               {"command": elapsed}, threads),

@@ -257,6 +257,8 @@ def _weighted_draw(p: np.ndarray, rng) -> int:
 
 
 def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
+    """One restart's k-means++ centres, k x d: the draw order that
+    _seed_restarts reproduces for many restarts at once."""
     n = P.shape[0]
     centers = np.empty((k, P.shape[1]))
     idx = int(rng.integers(n))
@@ -271,6 +273,57 @@ def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
         centers[c] = P[idx]
         dist = np.minimum(dist, np.sum((P - centers[c]) ** 2, axis=1))
     return centers
+
+
+def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
+    """k-means++ centres for every restart of every set, (S R) x k x d, the
+    same centres and generator states as _kmeans_pp run restart by restart.
+
+    Each restart's draws are taken up front, in restart order, as one
+    integers(n) and one random(k - 1) call: the stream _kmeans_pp reads.
+    Then every restart seeds at once, each draw an index from its weights'
+    cdf as _weighted_draw computes it. A set where some restart runs out of
+    weight before its last centre would have drawn integers(n) there
+    instead; that set rewinds its generator and seeds with _kmeans_pp.
+    """
+    S, n, _ = P.shape
+    states = [rng.bit_generator.state for rng in rngs]
+    first = np.empty((S, restarts), dtype=np.intp)
+    u = np.empty((S, restarts, k - 1))
+    for s, rng in enumerate(rngs):
+        for r in range(restarts):
+            first[s, r] = rng.integers(n)
+            u[s, r] = rng.random(k - 1)
+    u = u.reshape(S * restarts, k - 1)
+    sets = np.arange(S)[:, None]
+    points = P[:, None]  # each set broadcast over its restarts
+
+    def sq_dist(idx):
+        # squared distance from every point to each restart's new centre
+        diff = points - P[sets, idx][:, :, None]
+        np.square(diff, out=diff)
+        return diff.sum(axis=-1).reshape(S * restarts, n)
+
+    centers = np.empty((S, restarts, k, P.shape[2]))
+    centers[:, :, 0] = P[sets, first]
+    dist = sq_dist(first)
+    redo = np.zeros(S, dtype=bool)
+    for c in range(1, k):
+        total = dist.sum(axis=1)
+        empty = total <= 0.0
+        if empty.any():
+            redo[np.flatnonzero(empty) // restarts] = True
+            # placeholder weights for rows whose set is reseeded below
+            dist[empty], total[empty] = 1.0, n
+        cdf = np.cumsum(dist / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        idx = np.count_nonzero(cdf <= u[:, c - 1, None], axis=1).reshape(S, restarts)
+        centers[:, :, c] = P[sets, idx]
+        dist = np.minimum(dist, sq_dist(idx))
+    for s in np.flatnonzero(redo):
+        rngs[s].bit_generator.state = states[s]
+        centers[s] = [_kmeans_pp(P[s], k, rngs[s]) for _ in range(restarts)]
+    return centers.reshape(S * restarts, k, P.shape[2])
 
 
 def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
@@ -335,26 +388,24 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     """Lloyd's algorithm with k-means++ seeding and independent restarts.
 
     points is one n x d set with one seed, or a stack of S sets, S x n x d,
-    with a sequence of S seeds. Each set seeds its restarts first, in
-    restart order, from its own generator. Then every restart of every set
-    runs through one Lloyd loop over an (S R) x n x k distance array, each
-    on its own set's points, and leaves the loop once its labels stop
-    changing. Empty clusters are repaired by promoting the point farthest
-    from its center. Each set keeps its best restart by inertia, ties going
-    to the first. Returns 1-based labels and a CentroidSet: n labels, k x d
-    centres and one inertia for one set; S x n labels, S x k x d centres and
-    S inertias for a stack.
+    with a sequence of S seeds. Each set takes its restarts' k-means++
+    draws from its own generator, in restart order, and every restart of
+    every set is seeded in one vectorised pass (_seed_restarts): the same
+    centres and generator states as seeding restart by restart. Then every
+    restart of every set runs through one Lloyd loop over an (S R) x n x k
+    distance array, each on its own set's points, and leaves the loop once
+    its labels stop changing. Empty clusters are repaired by promoting the
+    point farthest from its center. Each set keeps its best restart by
+    inertia, ties going to the first. Returns 1-based labels and a
+    CentroidSet: n labels, k x d centres and one inertia for one set; S x n
+    labels, S x k x d centres and S inertias for a stack.
     """
     P, seeds, single = _stack(points, seed)
     S, n, _ = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     restarts = max(1, int(restarts))
-    centers = []
-    for s in range(S):
-        rng = as_generator(seeds[s])
-        centers += [_kmeans_pp(P[s], k, rng) for _ in range(restarts)]
-    centers = np.stack(centers)
+    centers = _seed_restarts(P, k, restarts, [as_generator(seed) for seed in seeds])
     owner = np.repeat(np.arange(S), restarts)
 
     def sets_of(r):

@@ -150,6 +150,29 @@ def test_select_k_outputs_curve(dataset, tmp_path):
     assert _run(["select-k", str(data), "--k-min", "5", "--k-max", "4"]) == 2
 
 
+def test_select_k_reports_each_candidate_fit(dataset, tmp_path):
+    data, _, X, _ = dataset
+    argv = ["select-k", str(data), "--k-min", "2", "--k-max", "4", "--mc-samples", "5",
+            "--eta1", "1.0", "--seed", "4"]
+    for max_outer in ("1", "100"):
+        out = tmp_path / f"k{max_outer}"
+        assert _run([*argv, "--max-outer", max_outer, "--out", str(out)]) == 0
+        chosen = json.loads((out / "chosen_k.json").read_text())
+        _, curve, fits = model_selection.select_k_by_gap(
+            X, range(2, 5), mc_samples=5, seed=4, eta1=1.0, max_outer=int(max_outer))
+        assert chosen["k_candidates"] == [2, 3, 4]
+        assert chosen["status"] == [fits[k].status for k in (2, 3, 4)]
+        assert chosen["outer_iters"] == [fits[k].outer_iters for k in (2, 3, 4)]
+        assert chosen["fits_stalled"] == chosen["status"].count("stalled")
+        assert chosen["fits_max_outer"] == chosen["status"].count("max_outer")
+        assert chosen["gap"] == curve.gap.tolist() and chosen["se"] == curve.se.tolist()
+        assert chosen["chosen_k"] == curve.chosen_k
+    # one outer iteration stops every fit short of convergence
+    short = json.loads((tmp_path / "k1" / "chosen_k.json").read_text())
+    assert short["outer_iters"] == [1] * 3
+    assert short["fits_stalled"] + short["fits_max_outer"] == 3
+
+
 def test_simulate_design_1_table_shapes(tmp_path):
     # n = 12 has fewer rows than the 20 columns, so every method runs at n < p
     for n in (24, 12):

@@ -167,6 +167,28 @@ def test_write_json_writes_the_arrays_entry_by_entry(tmp_path):
     assert path.read_text() == json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (1, 1), (4, 2)])
+def test_write_json_bytes_equal_the_indented_json_encoder(tmp_path, n, d):
+    payload = _fit_payload(n)
+    edge = np.array([-0.0, 1e-300, 1e300, 5e-324, -5e-324, 0.1, 1.0 / 3.0, 2.0 ** 60])
+    for key in ("y_hat", "embedding"):
+        payload[key] = np.resize(edge, (n, d)) * (1.0 if key == "y_hat" else -1.0)
+    payload["b_hat"] = np.resize(edge[::-1], (4, d))
+    payload["labels"] = np.array([2 ** 62, 2 ** 63 - 1, 1, 7, 3])[:n]
+    payload["diagnostics"] = {"omega": -0.0, "huge": 10 ** 30, "tiny": 5e-324,
+                              "nested": {"b": [1, {"c": []}], "a": {}}, "text": "a\nbé"}
+    path = tmp_path / "fit.json"
+    write_json(path, payload, "fit.schema.json")
+    expected = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
+    # an integer-valued float label and a matrix given as nested lists
+    payload["labels"] = np.arange(n) + 1.0
+    payload["b_hat"] = [[1.5] * d] * 4
+    write_json(path, payload, "fit.schema.json")
+    expected = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("key, bad", [
     ("y_hat", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 5, np.nan, a)),
     ("embedding", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, np.inf, a)),

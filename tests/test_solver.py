@@ -397,6 +397,47 @@ def test_stacked_kmeans_matches_reference_through_empty_cluster_repair(monkeypat
     assert repairs and max(repairs) > 0
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_kmeans_seeds_every_restart_in_one_pass(monkeypatch, k):
+    # _kmeans_pp, the serial seeding, runs only for a set where a restart
+    # runs out of weight; every other set takes the batched pass
+    calls = []
+    real_kmeans_pp = solver._kmeans_pp
+
+    def counted(P, k, rng):
+        calls.append(P.copy())
+        return real_kmeans_pp(P, k, rng)
+
+    monkeypatch.setattr(solver, "_kmeans_pp", counted)
+    rng = np.random.default_rng(12)
+    spread = [rng.standard_normal((25, 3)) for _ in range(3)]
+    duplicated = np.repeat(rng.standard_normal((1, 3)), 25, axis=0)
+    restarts = 6
+
+    _assert_stack_matches_reference(spread, k, restarts, seed=2)
+    _assert_matches_reference(spread[0], k, restarts, seed=3)
+    assert calls == []
+
+    # a generator already advanced before the call, as a fit passes its own
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    rng_new.random(3), rng_ref.random(3)
+    sets = [spread[0], duplicated, spread[1]]
+    seeds = [7, rng_new, 8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        labels, centroids = kmeans(np.stack(sets), k, restarts=restarts, seed=seeds)
+    # k = 1 draws no weighted centre, so no restart runs out of weight
+    assert len(calls) == (restarts if k > 1 else 0)
+    assert all(np.array_equal(P, duplicated) for P in calls)
+    for s, P in enumerate(sets):
+        ref_rng = rng_ref if s == 1 else np.random.default_rng(seeds[s])
+        ref_labels, ref_centers, ref_inertia = _reference_kmeans(P, k, restarts, ref_rng)
+        np.testing.assert_array_equal(labels[s], ref_labels)
+        np.testing.assert_array_equal(centroids.M[s], ref_centers)
+        assert centroids.inertia[s] == ref_inertia
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_stacked_kmeans_validates_its_input():
     sets = np.random.default_rng(0).standard_normal((3, 10, 2))
     with pytest.raises(ValueError):
