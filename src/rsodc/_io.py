@@ -81,16 +81,12 @@ def read_labels_csv(path, header: bool = True) -> np.ndarray:
 
 def write_matrix_csv(path, X, columns, labels=None) -> None:
     """Write rows of X at 17 significant digits, optionally with a label column."""
-    X = np.asarray(X, dtype=float)
-    header = list(columns) + (["label"] if labels is not None else [])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(X.shape[0]):
-            row = [f"{v:.17g}" for v in X[i]]
-            if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+    rows = np.asarray(X, dtype=float).tolist()
+    header = list(columns)
+    if labels is not None:
+        header.append("label")
+        rows = [row + [int(label)] for row, label in zip(rows, labels)]
+    write_rows_csv(path, header, rows)
 
 
 def write_rows_csv(path, header, rows) -> None:

@@ -57,14 +57,6 @@ class ScoringState:
     max_center_violation: float = 0.0
     degenerate_updates: int = 0
 
-    @property
-    def n(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.Y.shape[1]
-
 
 def init_state(Y0, graph: FusionGraph) -> ScoringState:
     """Fresh state: V holds the row differences of Y0, Lambda is zero."""

@@ -33,7 +33,7 @@ from ._io import (
 from ._svg import scatter_svg
 from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
-from .fusion_graph import build_fusion_graph, cap_delta
+from .fusion_graph import build_fusion_graph
 from .metrics import (
     adjusted_rand_index,
     anova_f_scores,
@@ -119,10 +119,6 @@ def _fit_model(X, args, seed, graph=None):
     inst = _instance(X, args.k, args)
     if inst.gamma == 0.0:
         return "sodc", fit_sodc(inst, seed=seed)
-    if graph is not None:
-        # a fit on a shared graph warns of a capped delta as one that builds
-        # its own does, so simulate counts the same warnings either way
-        cap_delta(inst.delta, inst.n)
     return "rsodc", fit_rsodc(inst, graph, seed=seed)
 
 

@@ -192,9 +192,3 @@ def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
             return B, sweep
         obj = new_obj
     return B, int(max_sweeps)
-
-
-def active_set(B) -> np.ndarray:
-    """Indices of groups (rows) with any entry above the zero threshold."""
-    B = np.asarray(B, dtype=float)
-    return np.where(np.any(np.abs(B) > ZERO_TOL, axis=1))[0]

@@ -55,23 +55,25 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
     return (index - expected) / (maximum - expected)
 
 
-def _scatter_traces(points, labels):
-    P = check_matrix(points, "points")
+def _sums_of_squares(X, labels, name: str):
+    """Per-column between-group and within-group sums of squares across
+    the label groups, and the number of groups."""
+    X = check_matrix(X, name)
     lab = _as_labels(labels, "labels")
-    if lab.shape[0] != P.shape[0]:
-        raise ValueError("labels do not align with points")
+    if lab.shape[0] != X.shape[0]:
+        raise ValueError(f"labels do not align with {name}")
     values = np.unique(lab)
     if values.size < 2:
-        raise ValueError("need at least 2 clusters")
-    grand = P.mean(axis=0)
-    between = 0.0
-    within = 0.0
+        raise ValueError("need at least 2 groups")
+    grand = X.mean(axis=0)
+    ssb = np.zeros(X.shape[1])
+    ssw = np.zeros(X.shape[1])
     for v in values:
-        block = P[lab == v]
+        block = X[lab == v]
         mean = block.mean(axis=0)
-        between += block.shape[0] * float(np.sum((mean - grand) ** 2))
-        within += float(np.sum((block - mean) ** 2))
-    return between, within, values.size
+        ssb += block.shape[0] * (mean - grand) ** 2
+        ssw += np.sum((block - mean) ** 2, axis=0)
+    return ssb, ssw, values.size
 
 
 def variance_ratio(points, labels: Partition) -> float:
@@ -80,12 +82,13 @@ def variance_ratio(points, labels: Partition) -> float:
     Higher means better-separated clusters. Zero within-scatter returns
     +inf with a warning.
     """
-    between, within, _ = _scatter_traces(points, labels)
+    ssb, ssw, _ = _sums_of_squares(points, labels, "points")
+    within = float(ssw.sum())
     if within == 0.0:
         warnings.warn("zero within-cluster scatter; variance ratio is infinite",
                       RuntimeWarning)
         return np.inf
-    return between / within
+    return float(ssb.sum()) / within
 
 
 def sensitivity_specificity(B, informative, k: int = None):
@@ -135,25 +138,10 @@ def anova_f_scores(X, labels: Partition) -> np.ndarray:
     freedom (k - 1, n - k). Variables with zero within-group variance get
     +inf so they rank first in a descending screen.
     """
-    X = check_matrix(X, "X")
-    lab = _as_labels(labels, "labels")
-    if lab.shape[0] != X.shape[0]:
-        raise ValueError("labels do not align with X")
-    values = np.unique(lab)
-    n, p = X.shape
-    k = values.size
-    if k < 2:
-        raise ValueError("need at least 2 groups")
+    ssb, ssw, k = _sums_of_squares(X, labels, "X")
+    n, p = len(labels), ssb.size
     if n <= k:
         raise ValueError("need more subjects than groups")
-    grand = X.mean(axis=0)
-    ssb = np.zeros(p)
-    ssw = np.zeros(p)
-    for v in values:
-        block = X[lab == v]
-        mean = block.mean(axis=0)
-        ssb += block.shape[0] * (mean - grand) ** 2
-        ssw += np.sum((block - mean) ** 2, axis=0)
     msb = ssb / (k - 1)
     msw = ssw / (n - k)
     out = np.full(p, np.inf)

@@ -264,8 +264,12 @@ def select_k_by_gap(X, k_range=GAP_K_RANGE, mc_samples: int = GAP_MC_SAMPLES,
         raise ValueError("mc_samples must be >= 1")
     instances = {k: ProblemInstance(data=X, k=k, **settings) for k in ks}
     first = instances[ks[0]]  # every candidate has the same graph settings
-    graph = (build_fusion_graph(X, first.tau, cap_delta(first.delta, n), first.rho)
-             if first.gamma > 0.0 else None)
+    graph = None
+    if first.gamma > 0.0:
+        # capped once here, so that the candidates' fits do not warn again
+        delta = cap_delta(first.delta, n)
+        instances = {k: replace(inst, delta=delta) for k, inst in instances.items()}
+        graph = build_fusion_graph(X, first.tau, delta, first.rho)
 
     def fit_and_gap(k):
         fit = fit_rsodc(instances[k], graph, seed=child_seed(seed, 5, k))

@@ -71,9 +71,9 @@ def _fusion_term(Y, graph, gamma: float) -> float:
     return gamma * float(graph.alpha @ row_norms(diffs))
 
 
-def _objective_terms(Xc, B, Y, fusion: float, instance: ProblemInstance) -> float:
-    """The loss at (B, Y), given its fusion term at Y."""
-    R = Y - Xc @ B
+def _objective_terms(W, B, Y, fusion: float, instance: ProblemInstance) -> float:
+    """The loss at (B, Y), given W = Xc B and the fusion term at Y."""
+    R = Y - W
     val = 0.5 * float(np.sum(R * R))
     val += instance.eta2 * float(np.sum(B * B))
     val += instance.eta1 * float(np.sum(np.linalg.norm(B, axis=1)))
@@ -85,7 +85,7 @@ def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
     B = check_matrix(B, "B")
     Y = check_matrix(Y, "Y")
     Xc = center_columns(instance.data)
-    return _objective_terms(Xc, B, Y, _fusion_term(Y, graph, instance.gamma), instance)
+    return _objective_terms(Xc @ B, B, Y, _fusion_term(Y, graph, instance.gamma), instance)
 
 
 def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,16 +105,20 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     """Shared outer loop; method only labels the result.
 
     With gamma > 0 the Y step is the inner ADMM on a copy of graph bound
-    to instance.rho, built from the instance's tau and delta when None.
-    With gamma = 0 it is one Procrustes solve, and graph is not read.
+    to instance.rho, built from the instance's tau and delta when None;
+    either way a delta above n - 1 warns once. With gamma = 0 it is one
+    Procrustes solve, and graph is not read.
     """
     t_start = time.perf_counter()
     timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
     fused = instance.gamma > 0.0
-    if fused and graph is None:
-        graph = build_fusion_graph(instance.data, instance.tau,
-                                   cap_delta(instance.delta, instance.n), instance.rho)
-        timings["graph"] = time.perf_counter() - t_start
+    if fused:
+        delta = cap_delta(instance.delta, instance.n)
+        if graph is None:
+            graph = build_fusion_graph(instance.data, instance.tau, delta, instance.rho)
+            timings["graph"] = time.perf_counter() - t_start
+        elif graph.n != instance.n:
+            raise ValueError(f"fusion graph is on {graph.n} rows, the data has {instance.n}")
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
     p, d = instance.p, instance.d
@@ -135,7 +139,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     # the fusion term changes only with Y: evaluated once per accepted Y, it
     # serves the B step's check and the next trace entry
     fusion = _fusion_term(state.Y, graph, instance.gamma)
-    trace = [_objective_terms(Xc, B, state.Y, fusion, instance)]
+    trace = [_objective_terms(Xc @ B, B, state.Y, fusion, instance)]
     gram = Xc.T @ Xc
     inner_iterations: list = []
     status = "max_outer"
@@ -145,8 +149,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         # so the subproblem gets 2 eta2 and the B step minimises the loss in B
         design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
         B_new, _ = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
+        W = Xc @ B_new
         timings["b_step"] += time.perf_counter() - t0
-        obj_b = _objective_terms(Xc, B_new, state.Y, fusion, instance)
+        obj_b = _objective_terms(W, B_new, state.Y, fusion, instance)
         if obj_b > trace[-1] + OBJECTIVE_SLACK:
             status = "stalled"
             warnings.warn("B step raised the loss; stopping", RuntimeWarning)
@@ -154,7 +159,6 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         B = B_new
 
         t0 = time.perf_counter()
-        W = Xc @ B
         # the scoring steps replace Y, V and Lambda rather than write into
         # them, so the arrays themselves are the rollback snapshot
         prev = (state.Y, state.V, state.Lambda)
@@ -168,7 +172,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             inner_iterations.append(1)
         timings["y_step"] += time.perf_counter() - t0
         fusion_y = _fusion_term(state.Y, graph, instance.gamma)
-        obj_y = _objective_terms(Xc, B, state.Y, fusion_y, instance)
+        obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
         if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
             state.Y, state.V, state.Lambda = prev
             state.Q = state.Y.copy()
@@ -224,10 +228,12 @@ def fit_rsodc(instance: ProblemInstance, graph: FusionGraph = None, seed=0) -> F
         Data and weights; v_mode picks the V-step variant.
     graph : FusionGraph, optional
         Fusion graph on instance.data, built for any rho (the fit binds its
-        own to a copy). Built from instance.tau and instance.delta when
-        omitted (delta capped at n - 1, with a warning) and timed as
-        timings["graph"], 0.0 when a graph is given; with instance.gamma = 0
-        none is built or read, and the fit equals fit_sodc's.
+        own to a copy); a graph on another number of rows raises
+        ValueError. Built from instance.tau and instance.delta when omitted
+        and timed as timings["graph"], 0.0 when a graph is given. A delta
+        above n - 1 warns either way (the built graph caps it at n - 1).
+        With instance.gamma = 0 none is built or read, and the fit equals
+        fit_sodc's.
     seed : int, SeedSequence, or Generator
         Drives the B initialization and the k-means restarts.
 
@@ -359,15 +365,6 @@ def _cluster_means(PT: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return (sums / counts).reshape(a, k, d)
 
 
-def _inertia(P: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
-    """Within-cluster sum of squares, added up cluster by cluster."""
-    total = 0.0
-    for c in range(centers.shape[0]):
-        diff = P[labels == c] - centers[c]
-        total += float(np.sum(diff * diff))
-    return total
-
-
 def _stack(points, seed) -> tuple[np.ndarray, list, bool]:
     """Points as an S x n x d stack, one seed per set, and whether the
     input was a single n x d set."""
@@ -437,20 +434,13 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
         active, new = active[moved], new[moved]
         labels[active] = new
         centers[active] = _cluster_means(PT[:, sets_of(active)], new, k)
-    # screen every restart's inertia with one sum, then add up exactly,
-    # cluster by cluster, only the restarts near their set's minimum; the
-    # screen adds the same squares in another order, far within 1e-9
+    # every restart's within-cluster sum of squares, in one pass
     diff = np.take_along_axis(centers, labels[:, :, None], axis=1)
     diff -= P[sets_of(slice(None))]
     np.square(diff, out=diff)
-    screen = diff.sum(axis=(1, 2)).reshape(S, restarts)
-    best = np.empty(S, dtype=int)
-    inertia = np.empty(S)
-    for s in range(S):
-        near = s * restarts + np.flatnonzero(screen[s] <= screen[s].min() * (1.0 + 1e-9))
-        exact = [_inertia(P[s], labels[r], centers[r]) for r in near]
-        j = int(np.argmin(exact))
-        best[s], inertia[s] = near[j], exact[j]
+    inertias = diff.sum(axis=(1, 2)).reshape(S, restarts)
+    best = np.arange(S) * restarts + np.argmin(inertias, axis=1)
+    inertia = inertias.min(axis=1)
     labels, M = labels[best] + 1, centers[best]
     if single:
         return labels[0], CentroidSet(M=M[0], inertia=float(inertia[0]))

@@ -202,6 +202,26 @@ def test_fit_binds_its_own_rho_without_mutating_the_graph():
     assert fit.diagnostics["omega"] == build_quadratic(graph, 0.1).omega
 
 
+def test_fit_rejects_a_graph_on_another_number_of_rows():
+    X, _ = generate(SimulationConfig(n=70, p=20, k=3, theta=2.5, xi=0.5, seed=2))
+    inst = ProblemInstance(data=X[:60], k=3, eta1=1.0, gamma=0.001, rho=0.01, max_outer=3)
+    for rows in (50, 70):
+        graph = build_fusion_graph(X[:rows], tau=0.1, delta=5)
+        with pytest.raises(ValueError, match=f"graph is on {rows} rows, the data has 60"):
+            fit_rsodc(inst, graph, seed=0)
+
+
+def test_fit_on_a_given_graph_warns_of_a_capped_delta():
+    X, _ = generate(SimulationConfig(n=24, p=20, k=3, theta=3.0, xi=0.5, seed=2))
+    graph = build_fusion_graph(X, tau=0.1, delta=23)
+    for delta, count in ((30, 1), (23, 0)):
+        inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, delta=delta, max_outer=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_rsodc(inst, graph, seed=0)
+        assert sum("capped at n - 1" in str(w.message) for w in caught) == count
+
+
 # Per-restart k-means as it ran before the restarts were batched: seed one
 # restart with k-means++, run its own Lloyd loop, keep the first best.
 
