@@ -17,12 +17,21 @@ Every edge sum goes through the graph's gather and scatter operators, so an
 inner iteration costs O(m d) beyond its SVD. inner_admm forms the edge
 differences of Y once per Y update and hands them to the V step and the
 next assemble_D (whose Q is that Y), and forms the residual V - (y_i - y_j)
-once per V update for the Lambda step and the Lagrangian. The edge list
-keeps each endpoint column contiguous for those gathers and scatters, and
-every per-edge norm goes through core.row_norms, which adds the d squared
-columns as whole vectors: np.linalg.norm(Z, axis=1) reduces each short row
-on its own and took 10x longer on the (m, 2) arrays of a k = 3 fit, for
-the same bits.
+once per V update for the Lambda step and the Lagrangian. The Lagrangian
+takes the row norms of V from the V step's shrinkage and forms its two
+residual sums as dot products of the flattened arrays.
+
+The (m, d) edge arrays (differences, V, Lambda and every per-edge
+temporary) are held in Fortran order, so each coordinate is one contiguous
+column: the gather writes columns, and the scatter and core.row_norms read
+them as whole vectors. The arithmetic is the same elementwise, so every
+iterate has the bits it would have in C order.
+
+A call writes its differences, residual, V norms and per-edge temporaries
+in place into arrays of its own; the first three stay with the state when
+it returns (ScoringState.carry). The next call starts from them instead of
+a gather and a full Lagrangian, as long as the state still holds the Y, V
+and Lambda they were computed at.
 """
 
 from __future__ import annotations
@@ -38,11 +47,42 @@ from .group_lasso import row_soft_threshold
 
 
 @dataclass
+class Carry:
+    """What an inner_admm call leaves for the next: the Y, V and Lambda it
+    ended at, the graph, gamma and rho it ran on, and its per-edge arrays,
+    namely the edge differences of Y, the residual V - G^T Y and the row
+    norms of V."""
+
+    Y: np.ndarray
+    V: np.ndarray
+    Lambda: np.ndarray
+    graph: FusionGraph
+    gamma: float
+    rho: float
+    diffs: np.ndarray
+    resid: np.ndarray
+    v_norms: np.ndarray
+
+    def holds(self, state: "ScoringState", graph: FusionGraph, gamma: float,
+              rho: float) -> bool:
+        """Whether the arrays still describe state for this graph, gamma and rho."""
+        return (self.Y is state.Y and self.V is state.V and self.Lambda is state.Lambda
+                and self.graph is graph and self.gamma == gamma and self.rho == rho)
+
+
+@dataclass
 class ScoringState:
     """Mutable state of the inner loop.
 
     V and Lambda rows align with the graph's edge order. Q is the expansion
     point of the current majorizer (the previous accepted Y).
+
+    The steps replace Y, V and Lambda with new arrays and never write into
+    them. Two things rest on that rule: the solver keeps the arrays of an
+    accepted step as its rollback snapshot, and carry (set by inner_admm)
+    is valid exactly while Y, V and Lambda are the objects it was computed
+    at. Code that sets any of the three to another array, a copy included,
+    thereby makes the next inner_admm call recompute its set-up.
     """
 
     Y: np.ndarray
@@ -56,29 +96,32 @@ class ScoringState:
     max_orth_violation: float = 0.0
     max_center_violation: float = 0.0
     degenerate_updates: int = 0
+    carry: Carry | None = field(default=None, repr=False)
 
 
 def init_state(Y0, graph: FusionGraph) -> ScoringState:
-    """Fresh state: V holds the row differences of Y0, Lambda is zero."""
+    """Fresh state: V holds the row differences of Y0, Lambda is zero; both
+    are (m, d) arrays in Fortran order."""
     Y0 = check_matrix(Y0, "Y0")
     V = edge_differences(Y0, graph)
-    Lam = np.zeros_like(V)
+    Lam = np.zeros(V.shape, order="F")
     return ScoringState(Y=Y0.copy(), V=V, Lambda=Lam, Q=Y0.copy())
 
 
 def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
-    """Rows y_i - y_j for every edge l = (i, j), shape (m, d)."""
+    """Rows y_i - y_j for every edge l = (i, j), an (m, d) array in Fortran order."""
     return edge_gather(Y, graph.edges)
 
 
 def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
-               diffs=None) -> np.ndarray:
+               diffs=None, work=None) -> np.ndarray:
     """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
 
     With 2 C Q = rho_C sum_l g_l (q_i - q_j)^T (rho_C the rho the graph is
     bound to), all three edge sums are one scatter:
     D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho_C (q_i - q_j))^T),
-    in O(m d). diffs, when given, are the edge differences of state.Q.
+    in O(m d). diffs, when given, are the edge differences of state.Q;
+    work, when given, an (m, d) array the edge sum is formed in.
     """
     W = check_matrix(W, "W")
     n, d = W.shape
@@ -90,7 +133,9 @@ def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
         raise ValueError("V/Lambda rows do not align with the graph edge list")
     if diffs is None:
         diffs = edge_differences(state.Q, graph)
-    T = state.Lambda + rho * state.V - graph.rho * diffs
+    T = np.multiply(state.V, rho, out=work)
+    T += state.Lambda
+    T -= graph.rho * diffs
     return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, n))
 
 
@@ -184,8 +229,20 @@ def majorizer_value(Y, Q, C, omega: float) -> float:
     return 2.0 * omega * d - 2.0 * lin - quad
 
 
+def _psi(graph: FusionGraph, gamma: float, rho: float, mode: str) -> np.ndarray:
+    """The V step's per-edge thresholds gamma * alpha / rho, checked for mode."""
+    if mode not in ("paper", "exact"):
+        raise ValueError(f"mode must be 'paper' or 'exact', got {mode!r}")
+    psi = gamma * graph.alpha / rho
+    if mode == "paper" and np.any(psi >= 1.0):
+        # step length psi must stay below 1/L = 1 for the one proximal-gradient
+        # step to be a descent step on the per-edge objective
+        raise ValueError("gamma * alpha / rho must stay below 1 for every edge")
+    return psi
+
+
 def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
-             mode: str, diffs=None) -> ScoringState:
+             mode: str, diffs=None, psi=None, norms_out=None, work=None) -> ScoringState:
     """Per-edge V step on 1/2 ||v - q_l||^2 + psi_l ||v||, psi_l = gamma * alpha_l / rho.
 
     Here q_l = y_i - y_j - lambda_l / rho. mode="paper" takes one
@@ -196,54 +253,62 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     makes this a descent step: it never raises the per-edge objective.
     mode="exact" jumps to the closed-form minimizer, the group soft
     threshold of q_l at psi_l. diffs, when given, are the edge differences
-    of state.Y.
+    of state.Y; psi, when given, the thresholds _psi checked for mode;
+    norms_out, when given, an (m,) array that receives the row norms of
+    the new V (row_soft_threshold's); work, when given, an (m, d) array
+    q is formed in.
     """
-    if mode not in ("paper", "exact"):
-        raise ValueError(f"mode must be 'paper' or 'exact', got {mode!r}")
-    psi = gamma * graph.alpha / rho
-    if mode == "paper" and np.any(psi >= 1.0):
-        # step length psi must stay below 1/L = 1 for the one proximal-gradient
-        # step to be a descent step on the per-edge objective
-        raise ValueError("gamma * alpha / rho must stay below 1 for every edge")
+    if psi is None:
+        psi = _psi(graph, gamma, rho, mode)
     if diffs is None:
         diffs = edge_differences(state.Y, graph)
-    q = diffs - state.Lambda / rho
+    q = np.divide(state.Lambda, rho, out=work)
+    np.subtract(diffs, q, out=q)
     if mode == "exact":
-        state.V = row_soft_threshold(q, psi)
+        state.V = row_soft_threshold(q, psi, norms_out)
     else:
         s = state.V - psi[:, None] * (state.V - q)
-        state.V = row_soft_threshold(s, psi * psi)
+        state.V = row_soft_threshold(s, psi * psi, norms_out)
     return state
 
 
 def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float,
-                  resid=None) -> ScoringState:
+                  resid=None, work=None) -> ScoringState:
     """lambda_l <- lambda_l + rho (v_l - y_i + y_j); records the primal residual.
 
-    resid, when given, is state.V minus the edge differences of state.Y.
+    resid, when given, is state.V minus the edge differences of state.Y;
+    work, when given, an (m, d) array the step rho * resid is formed in.
+    The primal residual, the largest row norm of resid, is the root of the
+    largest squared one: the same value for one root instead of m.
     """
     if resid is None:
         resid = state.V - edge_differences(state.Y, graph)
-    state.Lambda = state.Lambda + rho * resid
-    state.primal_residual = float(np.max(row_norms(resid), initial=0.0))
+    state.Lambda = state.Lambda + np.multiply(resid, rho, out=work)
+    state.primal_residual = float(np.sqrt(np.max(row_norms(resid, squared=True),
+                                                 initial=0.0)))
     return state
 
 
 def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
-                         gamma: float, rho: float, resid=None) -> float:
+                         gamma: float, rho: float, resid=None, v_norms=None) -> float:
     """Value of the scoring subproblem's augmented Lagrangian.
 
     1/2 ||Y - W||_F^2 + gamma sum_l alpha_l ||v_l||
     + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2.
-    resid, when given, is state.V minus the edge differences of state.Y.
+    resid, when given, is state.V minus the edge differences of state.Y;
+    v_norms, when given, the row norms of state.V. The two residual sums
+    are dot products over the flattened arrays.
     """
     diff = state.Y - W
     val = 0.5 * float(np.sum(diff * diff))
     if resid is None:
         resid = state.V - edge_differences(state.Y, graph)
-    val += gamma * float(graph.alpha @ row_norms(state.V))
-    val += float(np.sum(state.Lambda * resid))
-    val += 0.5 * rho * float(np.sum(resid * resid))
+    if v_norms is None:
+        v_norms = row_norms(state.V)
+    r = resid.ravel(order="F")
+    val += gamma * float(graph.alpha @ v_norms)
+    val += float(state.Lambda.ravel(order="F") @ r)
+    val += 0.5 * rho * float(r @ r)
     return val
 
 
@@ -254,28 +319,46 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
 
     The loop keeps going while L(t) - L(t+1) >= epsilon, so an increase also
     stops it. Hitting max_inner leaves converged False and emits a warning.
+
+    The starting Lagrangian needs the edge differences of Y, the residual
+    and the norms of V. When state.carry holds them for this state, graph,
+    gamma and rho, they are taken from it; otherwise they are computed.
+    Either way the call writes its per-edge arrays in place and leaves them
+    in state.carry for the next call.
     """
     W = check_matrix(W, "W")
+    psi = _psi(graph, gamma, rho, v_mode)
     state.Q = state.Y.copy()
-    diffs = edge_differences(state.Y, graph)
-    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, resid=state.V - diffs)
+    carry = state.carry
+    if carry is not None and carry.holds(state, graph, gamma, rho):
+        diffs, resid, v_norms = carry.diffs, carry.resid, carry.v_norms
+    else:
+        diffs = edge_differences(state.Y, graph)
+        resid = np.subtract(state.V, diffs, order="F")
+        v_norms = row_norms(state.V)
+    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid, v_norms=v_norms)
+    work = np.empty_like(diffs)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
     for _ in range(int(max_inner)):
-        D = assemble_D(W, state, graph, rho, diffs=diffs)
+        D = assemble_D(W, state, graph, rho, diffs=diffs, work=work)
         update_Y(state, D)
-        diffs = edge_differences(state.Y, graph)
-        update_V(state, graph, gamma, rho, mode=v_mode, diffs=diffs)
-        resid = state.V - diffs
-        update_Lambda(state, graph, rho, resid=resid)
-        L_new = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid)
+        edge_gather(state.Y, graph.edges, out=diffs)
+        update_V(state, graph, gamma, rho, mode=v_mode, diffs=diffs, psi=psi,
+                 norms_out=v_norms, work=work)
+        np.subtract(state.V, diffs, out=resid)
+        update_Lambda(state, graph, rho, resid=resid, work=work)
+        L_new = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid,
+                                     v_norms=v_norms)
         state.inner_objective.append(L_new)
         state.iterations += 1
         if L_prev - L_new < epsilon:
             state.converged = True
             break
         L_prev = L_new
+    state.carry = Carry(state.Y, state.V, state.Lambda, graph, gamma, rho,
+                        diffs, resid, v_norms)
     if not state.converged:
         warnings.warn(
             f"scoring ADMM did not converge within {max_inner} iterations",

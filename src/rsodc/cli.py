@@ -186,12 +186,15 @@ def cmd_tune(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = ["cv_table.csv", "best_params.json"]
-    header = (["eta1", "gamma", "rho", "mean_kappa", "failures"]
+    counts = ["failures", "fits_stalled", "fits_max_outer"]
+    header = (["eta1", "gamma", "rho", "mean_kappa", *counts]
               + [f"kappa_{r + 1}" for r in range(grid.repeats)])
     rows = [[row["eta1"], row["gamma"], row["rho"], row["mean_kappa"],
-             row["failures"]] + row["kappas"] for row in table]
+             *(row[c] for c in counts)] + row["kappas"] for row in table]
     write_rows_csv(os.path.join(args.out, "cv_table.csv"), header, rows)
-    payload = dict(best, warnings=len(caught))
+    payload = dict(best, fits_stalled=sum(row["fits_stalled"] for row in table),
+                   fits_max_outer=sum(row["fits_max_outer"] for row in table),
+                   warnings=len(caught))
     payload["manifest"] = _manifest(args, [args.csv], outputs,
                                     {"command": elapsed}, threads)
     write_json(os.path.join(args.out, "best_params.json"), payload,

@@ -101,10 +101,21 @@ def group_soft_threshold(phi, t: float) -> np.ndarray:
     return phi * (1.0 - t / norm)
 
 
-def row_soft_threshold(Z, t) -> np.ndarray:
-    """group_soft_threshold applied to every row of Z, row l at threshold t[l]."""
+def row_soft_threshold(Z, t, norms_out=None) -> np.ndarray:
+    """group_soft_threshold applied to every row of Z, row l at threshold t[l].
+
+    norms_out, when given, is an (m,) array that receives the row norms of
+    the result as each row's norm times its shrink factor: row_norms of the
+    result up to rounding, without a second pass over it.
+    """
     norms = row_norms(Z)
-    scale = np.where(norms > t, 1.0 - t / np.maximum(norms, np.finfo(float).tiny), 0.0)
+    # 1 - t / max(norms, tiny) where norms > t, else 0, in one array
+    scale = np.maximum(norms, np.finfo(float).tiny)
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    scale[~(norms > t)] = 0.0
+    if norms_out is not None:
+        np.multiply(norms, scale, out=norms_out)
     return Z * scale[:, None]
 
 

@@ -119,7 +119,10 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     -------
     (best, table)
         best: dict with eta1, gamma, rho, mean_kappa. table: one dict per
-        combo with the per-repeat kappas and failure count.
+        combo with the per-repeat kappas, the failure count, and how many
+        of its 2 * repeats fits ended "stalled" (fits_stalled) and
+        "max_outer" (fits_max_outer); a repeat that failed counts in
+        neither.
     """
     X = check_matrix(X, "X")
     n = X.shape[0]
@@ -144,22 +147,28 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
 
     def split_kappa(item):
         ci, r = item
-        inds = []
+        inds, statuses = [], []
         for side, rows in enumerate(splits[r]):
             inst = replace(instances[ci], data=X[rows])
             fit = fit_rsodc(inst, graphs[r][side], seed=child_seed(seed, 3, ci, r, side))
             inds.append(selection_indicator(fit.B_hat))
-        return kappa(inds[0], inds[1])
+            statuses.append(fit.status)
+        return (kappa(inds[0], inds[1]), statuses.count("stalled"),
+                statuses.count("max_outer"))
 
     items = [(ci, r) for ci in range(len(combos)) for r in range(grid.repeats)]
     values = parallel_map(split_kappa, items, threads)
     failed = np.array([v is None for v in values]).reshape(len(combos), grid.repeats)
-    kappas = np.array([-1.0 if v is None else v for v in values]).reshape(failed.shape)
+    kappas, stalled, max_outer = (
+        np.array(column).reshape(failed.shape)
+        for column in zip(*[(-1.0, 0, 0) if v is None else v for v in values]))
     failures = failed.sum(axis=1)
     means = kappas.mean(axis=1)
 
     table = [{"eta1": eta1, "gamma": gamma, "rho": rho, "mean_kappa": float(means[ci]),
-              "kappas": kappas[ci].tolist(), "failures": int(failures[ci])}
+              "kappas": kappas[ci].tolist(), "failures": int(failures[ci]),
+              "fits_stalled": int(stalled[ci].sum()),
+              "fits_max_outer": int(max_outer[ci].sum())}
              for ci, (eta1, gamma, rho) in enumerate(combos)]
     bi = min(range(len(combos)), key=lambda ci: (-means[ci],) + combos[ci])
     best = {key: table[bi][key] for key in ("eta1", "gamma", "rho", "mean_kappa")}

@@ -64,10 +64,12 @@ class CentroidSet:
     inertia: float | np.ndarray
 
 
-def _fusion_term(Y, graph, gamma: float) -> float:
+def _fusion_term(Y, graph, gamma: float, diffs=None) -> float:
+    """gamma sum_l alpha_l ||y_i - y_j||; diffs, when given, are Y's edge differences."""
     if gamma == 0.0 or graph is None or graph.m == 0:
         return 0.0
-    diffs = edge_differences(Y, graph)
+    if diffs is None:
+        diffs = edge_differences(Y, graph)
     return gamma * float(graph.alpha @ row_norms(diffs))
 
 
@@ -171,7 +173,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             update_Y(state, W)
             inner_iterations.append(1)
         timings["y_step"] += time.perf_counter() - t0
-        fusion_y = _fusion_term(state.Y, graph, instance.gamma)
+        # a fused call leaves the edge differences of the Y it ends at
+        fusion_y = _fusion_term(state.Y, graph, instance.gamma,
+                                state.carry.diffs if fused else None)
         obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
         if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
             state.Y, state.V, state.Lambda = prev
@@ -391,16 +395,19 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     centres and generator states as seeding restart by restart. Then every
     restart of every set runs through one Lloyd loop over an (S R) x n x k
     distance array, each on its own set's points, and leaves the loop once
-    its labels stop changing. Empty clusters are repaired by promoting the
-    point farthest from its center. Each set keeps its best restart by
-    inertia, ties going to the first. Returns 1-based labels and a
-    CentroidSet: n labels, k x d centres and one inertia for one set; S x n
-    labels, S x k x d centres and S inertias for a stack.
+    its labels stop changing or after max_iter (at least 1) passes. Empty
+    clusters are repaired by promoting the point farthest from its center.
+    Each set keeps its best restart by inertia, ties going to the first.
+    Returns 1-based labels and a CentroidSet: n labels, k x d centres and
+    one inertia for one set; S x n labels, S x k x d centres and S
+    inertias for a stack.
     """
     P, seeds, single = _stack(points, seed)
     S, n, _ = P.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     restarts = max(1, int(restarts))
     centers = _seed_restarts(P, k, restarts, [as_generator(seed) for seed in seeds])
     owner = np.repeat(np.arange(S), restarts)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+from rsodc import admm_scoring
 from rsodc.admm_scoring import (
     assemble_D,
     augmented_lagrangian,
@@ -198,3 +202,72 @@ def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
     # the recorded Lagrangian matches a recomputation at the final state
     assert state.inner_objective[-1] == pytest.approx(
         augmented_lagrangian(W, state, graph, 0.02, 0.05), rel=1e-12)
+
+
+def _two_calls(rng, n=12, d=2):
+    X, graph = _graph(rng, n, delta=4, rho=0.05)
+    Y0 = _random_orthonormal_centered(rng, n, d)
+    W1 = 0.5 * _random_orthonormal_centered(rng, n, d)
+    W2 = 0.5 * _random_orthonormal_centered(rng, n, d)
+    return graph, Y0, W1, W2
+
+
+def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
+    graph, Y0, W1, W2 = _two_calls(np.random.default_rng(10))
+    gamma, rho = 0.02, 0.05
+    carried, recomputed = init_state(Y0, graph), init_state(Y0, graph)
+    for state in (carried, recomputed):
+        inner_admm(W1, state, graph, gamma, rho, epsilon=1e-8)
+    # copies of the three arrays void the carry
+    recomputed.Y = recomputed.Y.copy()
+    recomputed.V = recomputed.V.copy()
+    recomputed.Lambda = recomputed.Lambda.copy()
+    assert carried.carry.holds(carried, graph, gamma, rho)
+    assert not recomputed.carry.holds(recomputed, graph, gamma, rho)
+    for name in ("Y", "V", "Lambda"):
+        # any one of the three replaced voids it
+        probe = dataclasses.replace(carried)
+        setattr(probe, name, getattr(probe, name).copy())
+        assert not probe.carry.holds(probe, graph, gamma, rho)
+
+    gathers = []
+    real = admm_scoring.edge_differences
+    monkeypatch.setattr(admm_scoring, "edge_differences",
+                        lambda Y, g: gathers.append(Y) or real(Y, g))
+    inner_admm(W2, carried, graph, gamma, rho, epsilon=1e-8)
+    assert gathers == []
+    inner_admm(W2, recomputed, graph, gamma, rho, epsilon=1e-8)
+    assert len(gathers) == 1
+    assert carried.iterations == recomputed.iterations > 1
+    np.testing.assert_array_equal(carried.Y, recomputed.Y)
+    np.testing.assert_array_equal(carried.V, recomputed.V)
+    np.testing.assert_array_equal(carried.Lambda, recomputed.Lambda)
+    np.testing.assert_allclose(carried.inner_objective, recomputed.inner_objective,
+                               rtol=1e-12, atol=0)
+
+
+def test_inner_admm_recomputes_its_set_up_for_another_gamma_or_rho():
+    graph, Y0, W1, W2 = _two_calls(np.random.default_rng(11))
+    state = init_state(Y0, graph)
+    inner_admm(W1, state, graph, 0.02, 0.05, epsilon=1e-8)
+    assert not state.carry.holds(state, graph, 0.03, 0.05)
+    assert not state.carry.holds(state, graph, 0.02, 0.06)
+    # the start of the next call at another gamma is the Lagrangian there
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        inner_admm(W2, state, graph, 0.03, 0.05, max_inner=0)
+    expect = init_state(Y0, graph)
+    expect.Y, expect.V, expect.Lambda = state.Y, state.V, state.Lambda
+    assert state.inner_objective[0] == pytest.approx(
+        augmented_lagrangian(W2, expect, graph, 0.03, 0.05), rel=1e-12)
+
+
+def test_init_state_and_an_inner_iteration_keep_V_and_Lambda_F_contiguous():
+    graph, Y0, W1, _ = _two_calls(np.random.default_rng(12), d=3)
+    state = init_state(Y0, graph)
+    assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        inner_admm(W1, state, graph, 0.02, 0.05, max_inner=1)
+    assert state.iterations == 1
+    assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
+    assert state.carry.diffs.flags.f_contiguous and state.carry.resid.flags.f_contiguous

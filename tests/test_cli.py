@@ -110,10 +110,25 @@ def test_tune_outputs_table_and_best(dataset, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert set(rows[0]) == {"eta1", "gamma", "rho", "mean_kappa", "failures",
-                            "kappa_1", "kappa_2"}
+                            "fits_stalled", "fits_max_outer", "kappa_1", "kappa_2"}
     best = json.loads((out / "best_params.json").read_text())
     assert best["eta1"] in (1.0, 2.5)
     assert best["manifest"]["command"] == "tune"
+
+
+def test_tune_counts_fits_that_end_at_max_outer(dataset, tmp_path):
+    data, _, _, _ = dataset
+    out = tmp_path / "tune"
+    assert _run(["tune", str(data), "--k", "3", "--grid-eta1", "1,2.5",
+                 "--grid-gamma", "0.001", "--grid-rho", "0.01", "--repeats", "2",
+                 "--max-outer", "1", "--out", str(out)]) == 0
+    with open(out / "cv_table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # two fits per repeat, every one cut at its single outer iteration
+    assert [(r["failures"], r["fits_stalled"], r["fits_max_outer"]) for r in rows] == [
+        ("0", "0", "4"), ("0", "0", "4")]
+    best = json.loads((out / "best_params.json").read_text())
+    assert (best["fits_stalled"], best["fits_max_outer"]) == (0, 8)
 
 
 def test_tune_rejects_malformed_grid(dataset, tmp_path):

@@ -134,13 +134,29 @@ def _dense_knn_reference(X, delta: int) -> np.ndarray:
     return ind | ind.T
 
 
-@pytest.mark.parametrize("delta", [1, 3, 6, 10])
+@pytest.mark.parametrize("delta", [1, 3, 6, 10, 20 * 20 - 1])
 def test_knn_indicator_keeps_the_tie_rule_across_row_blocks(delta):
     # integer grid points: distances are exact and tie in large groups
     side = 20
     grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
     X = grid[np.random.default_rng(4).permutation(side * side)].astype(float)
     assert X.shape[0] > KNN_BLOCK_ROWS
+    np.testing.assert_array_equal(knn_indicator(X, delta),
+                                  np.argwhere(np.triu(_dense_knn_reference(X, delta))))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("delta", [1, 3])
+def test_knn_indicator_breaks_a_tie_at_the_cut_across_a_block_boundary(delta, shuffle):
+    # points on a line: each inner point's delta-th and (delta + 1)-th
+    # nearest lie at one distance, one on either side, so its row takes the
+    # tie path; the two end rows do not. In index order the rows around
+    # KNN_BLOCK_ROWS tie with neighbors in the other block; shuffled, ties
+    # span every pair of blocks.
+    n = KNN_BLOCK_ROWS + 40
+    X = _line_points(n)
+    if shuffle:
+        X = X[np.random.default_rng(5).permutation(n)]
     np.testing.assert_array_equal(knn_indicator(X, delta),
                                   np.argwhere(np.triu(_dense_knn_reference(X, delta))))
 

@@ -150,6 +150,15 @@ def test_kmeans_handles_k_equal_n_and_duplicates():
         kmeans(X, 5)
 
 
+def test_kmeans_needs_at_least_one_lloyd_pass():
+    # with no pass the labels stay unset and the inertia reads a centre at -1
+    P = np.random.default_rng(0).standard_normal((30, 2))
+    with pytest.raises(ValueError, match="max_iter"):
+        kmeans(P, 3, restarts=2, seed=0, max_iter=0)
+    labels, _ = kmeans(P, 3, restarts=2, seed=0, max_iter=1)
+    assert set(labels.tolist()) == {1, 2, 3}
+
+
 def test_kmeans_is_deterministic_per_seed():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((50, 3))
