@@ -30,8 +30,8 @@ iterate has the bits it would have in C order.
 A call writes its differences, residual, V norms and per-edge temporaries
 in place into arrays of its own; the first three stay with the state when
 it returns (ScoringState.carry). The next call starts from them instead of
-a gather and a full Lagrangian, as long as the state still holds the Y, V
-and Lambda they were computed at.
+a gather and a full Lagrangian, as long as the state still holds the Y and
+V they were computed at and the call runs on the same graph.
 """
 
 from __future__ import annotations
@@ -48,26 +48,21 @@ from .group_lasso import row_soft_threshold
 
 @dataclass
 class Carry:
-    """What an inner_admm call leaves for the next: the Y, V and Lambda it
-    ended at, the graph, gamma and rho it ran on, and its per-edge arrays,
-    namely the edge differences of Y, the residual V - G^T Y and the row
-    norms of V."""
+    """What an inner_admm call leaves for the next: the Y and V it ended
+    at, the graph it ran on, and its per-edge arrays, namely the edge
+    differences of Y, the residual V - G^T Y and the row norms of V. None
+    of them depends on Lambda, gamma or rho."""
 
     Y: np.ndarray
     V: np.ndarray
-    Lambda: np.ndarray
     graph: FusionGraph
-    gamma: float
-    rho: float
     diffs: np.ndarray
     resid: np.ndarray
     v_norms: np.ndarray
 
-    def holds(self, state: "ScoringState", graph: FusionGraph, gamma: float,
-              rho: float) -> bool:
-        """Whether the arrays still describe state for this graph, gamma and rho."""
-        return (self.Y is state.Y and self.V is state.V and self.Lambda is state.Lambda
-                and self.graph is graph and self.gamma == gamma and self.rho == rho)
+    def holds(self, state: "ScoringState", graph: FusionGraph) -> bool:
+        """Whether the arrays still describe state on this graph."""
+        return self.Y is state.Y and self.V is state.V and self.graph is graph
 
 
 @dataclass
@@ -75,13 +70,14 @@ class ScoringState:
     """Mutable state of the inner loop.
 
     V and Lambda rows align with the graph's edge order. Q is the expansion
-    point of the current majorizer (the previous accepted Y).
+    point of the current majorizer, the Y of the previous iteration: the
+    steps point it at that Y object itself, not at a copy.
 
     The steps replace Y, V and Lambda with new arrays and never write into
-    them. Two things rest on that rule: the solver keeps the arrays of an
-    accepted step as its rollback snapshot, and carry (set by inner_admm)
-    is valid exactly while Y, V and Lambda are the objects it was computed
-    at. Code that sets any of the three to another array, a copy included,
+    them. Three things rest on that rule: the solver keeps the accepted Y
+    itself as its rollback snapshot, Q shares Y's array, and carry (set by
+    inner_admm) is valid exactly while Y and V are the objects it was
+    computed at. Code that sets Y or V to another array, a copy included,
     thereby makes the next inner_admm call recompute its set-up.
     """
 
@@ -92,7 +88,6 @@ class ScoringState:
     inner_objective: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    primal_residual: float = np.inf
     max_orth_violation: float = 0.0
     max_center_violation: float = 0.0
     degenerate_updates: int = 0
@@ -102,10 +97,10 @@ class ScoringState:
 def init_state(Y0, graph: FusionGraph) -> ScoringState:
     """Fresh state: V holds the row differences of Y0, Lambda is zero; both
     are (m, d) arrays in Fortran order."""
-    Y0 = check_matrix(Y0, "Y0")
-    V = edge_differences(Y0, graph)
+    Y = check_matrix(Y0, "Y0").copy()
+    V = edge_differences(Y, graph)
     Lam = np.zeros(V.shape, order="F")
-    return ScoringState(Y=Y0.copy(), V=V, Lambda=Lam, Q=Y0.copy())
+    return ScoringState(Y=Y, V=V, Lambda=Lam, Q=Y)
 
 
 def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
@@ -207,7 +202,7 @@ def update_Y(state: ScoringState, D) -> ScoringState:
         E = _complete_orthonormal(Lg, cand, d - rank)
         Y = np.hstack([Lg, E]) @ R.T
     state.Y = Y
-    state.Q = Y.copy()
+    state.Q = Y
     orth = float(np.max(np.abs(Y.T @ Y - np.eye(d))))
     cent = float(np.max(np.abs(Y.sum(axis=0))))
     state.max_orth_violation = max(state.max_orth_violation, orth)
@@ -274,18 +269,14 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
 
 def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float,
                   resid=None, work=None) -> ScoringState:
-    """lambda_l <- lambda_l + rho (v_l - y_i + y_j); records the primal residual.
+    """lambda_l <- lambda_l + rho (v_l - y_i + y_j).
 
     resid, when given, is state.V minus the edge differences of state.Y;
     work, when given, an (m, d) array the step rho * resid is formed in.
-    The primal residual, the largest row norm of resid, is the root of the
-    largest squared one: the same value for one root instead of m.
     """
     if resid is None:
         resid = state.V - edge_differences(state.Y, graph)
     state.Lambda = state.Lambda + np.multiply(resid, rho, out=work)
-    state.primal_residual = float(np.sqrt(np.max(row_norms(resid, squared=True),
-                                                 initial=0.0)))
     return state
 
 
@@ -321,16 +312,16 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     stops it. Hitting max_inner leaves converged False and emits a warning.
 
     The starting Lagrangian needs the edge differences of Y, the residual
-    and the norms of V. When state.carry holds them for this state, graph,
-    gamma and rho, they are taken from it; otherwise they are computed.
+    and the norms of V. When state.carry holds them for this state and
+    graph, they are taken from it; otherwise they are computed.
     Either way the call writes its per-edge arrays in place and leaves them
     in state.carry for the next call.
     """
     W = check_matrix(W, "W")
     psi = _psi(graph, gamma, rho, v_mode)
-    state.Q = state.Y.copy()
+    state.Q = state.Y
     carry = state.carry
-    if carry is not None and carry.holds(state, graph, gamma, rho):
+    if carry is not None and carry.holds(state, graph):
         diffs, resid, v_norms = carry.diffs, carry.resid, carry.v_norms
     else:
         diffs = edge_differences(state.Y, graph)
@@ -357,8 +348,7 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
             state.converged = True
             break
         L_prev = L_new
-    state.carry = Carry(state.Y, state.V, state.Lambda, graph, gamma, rho,
-                        diffs, resid, v_norms)
+    state.carry = Carry(state.Y, state.V, graph, diffs, resid, v_norms)
     if not state.converged:
         warnings.warn(
             f"scoring ADMM did not converge within {max_inner} iterations",

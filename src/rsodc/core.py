@@ -91,8 +91,8 @@ def center_columns(X) -> np.ndarray:
     return A - A.mean(axis=0, keepdims=True)
 
 
-def row_norms(Z: np.ndarray, squared: bool = False) -> np.ndarray:
-    """Euclidean norm of every row of an (m, d) array, or its square.
+def row_norms(Z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (m, d) array.
 
     Squares and adds the columns one at a time, then takes the root: one
     vector operation per column. np.linalg.norm(Z, axis=1) reduces each
@@ -104,7 +104,7 @@ def row_norms(Z: np.ndarray, squared: bool = False) -> np.ndarray:
     sq = np.zeros(Z.shape[0])
     for col in Z.T:
         sq += col * col
-    return sq if squared else np.sqrt(sq, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def thin_svd(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,13 +40,11 @@ KNN_BLOCK_ROWS = 256
 def edge_gather(Y: np.ndarray, edges: np.ndarray, out=None) -> np.ndarray:
     """G^T Y: the row differences y_i - y_j for every edge (i, j).
 
-    A 1-d Y gives an (m,) result. An (n, d) Y gives an (m, d) result in
-    Fortran order, written one contiguous coordinate column at a time, into
-    out when it is given (an F-ordered (m, d) array).
+    Y is (n, d); the (m, d) result is in Fortran order, written one
+    contiguous coordinate column at a time, into out when it is given (an
+    F-ordered (m, d) array).
     """
     i, j = edges[:, 0], edges[:, 1]
-    if Y.ndim == 1:
-        return Y.take(i) - Y.take(j)
     if out is None:
         out = np.empty((len(i), Y.shape[1]), order="F")
     for c, col in enumerate(np.ascontiguousarray(Y.T)):
@@ -57,11 +55,9 @@ def edge_gather(Y: np.ndarray, edges: np.ndarray, out=None) -> np.ndarray:
 def edge_scatter(T: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
     """G T = sum_l g_l t_l^T: row t_l added to row i and subtracted from row j.
 
-    T is (m, d) or (m,); the result is (n, d) or (n,).
+    T is (m, d); the result is (n, d).
     """
     i, j = edges[:, 0], edges[:, 1]
-    if T.ndim == 1:
-        return np.bincount(i, T, minlength=n) - np.bincount(j, T, minlength=n)
     out = np.empty((n, T.shape[1]))
     for c in range(T.shape[1]):
         out[:, c] = np.bincount(i, T[:, c], minlength=n) - np.bincount(j, T[:, c], minlength=n)
@@ -100,12 +96,8 @@ class FusionGraph:
     def m(self) -> int:
         return int(self.edges.shape[0])
 
-    def _apply_laplacian(self, Q: np.ndarray) -> np.ndarray:
-        return edge_scatter(edge_gather(Q, self.edges), self.edges, self.n)
-
-    def apply_C(self, Q: np.ndarray) -> np.ndarray:
-        """C Q in O(m d) through the edge list."""
-        return (self.rho / 2.0) * self._apply_laplacian(Q)
+    def _apply_laplacian(self, v: np.ndarray) -> np.ndarray:
+        return edge_scatter(edge_gather(v[:, None], self.edges), self.edges, self.n)[:, 0]
 
     @property
     def omega(self) -> float | None:

@@ -46,6 +46,9 @@ class ParamGrid:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        for name in ("eta1_candidates", "gamma_candidates", "rho_candidates"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
 
     def combos(self, v_mode: str) -> list:
         """Every (eta1, gamma, rho) combination; the paper V step needs

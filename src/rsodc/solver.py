@@ -82,11 +82,26 @@ def _objective_terms(W, B, Y, fusion: float, instance: ProblemInstance) -> float
     return val + fusion
 
 
+def _fit_graph(instance: ProblemInstance, graph):
+    """The fusion graph a fused fit on instance reads: graph, or one built
+    from the instance's tau and delta when None. delta is capped at n - 1
+    either way, warning once; a graph with another n raises ValueError."""
+    delta = cap_delta(instance.delta, instance.n)
+    if graph is None:
+        return build_fusion_graph(instance.data, instance.tau, delta, instance.rho)
+    if graph.n != instance.n:
+        raise ValueError(f"fusion graph is on {graph.n} rows, the data has {instance.n}")
+    return graph
+
+
 def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
-    """Full loss at (B, Y); the fusion term sums over the graph's edges only."""
+    """Full loss at (B, Y). With gamma > 0 the fusion term sums over the
+    edges of the graph fit_rsodc would read for the same graph argument."""
     B = check_matrix(B, "B")
     Y = check_matrix(Y, "Y")
     Xc = center_columns(instance.data)
+    if instance.gamma > 0.0:
+        graph = _fit_graph(instance, graph)
     return _objective_terms(Xc @ B, B, Y, _fusion_term(Y, graph, instance.gamma), instance)
 
 
@@ -106,21 +121,18 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop; method only labels the result.
 
-    With gamma > 0 the Y step is the inner ADMM on a copy of graph bound
-    to instance.rho, built from the instance's tau and delta when None;
-    either way a delta above n - 1 warns once. With gamma = 0 it is one
-    Procrustes solve, and graph is not read.
+    With gamma > 0 the Y step is the inner ADMM on a copy of _fit_graph's
+    graph bound to instance.rho. With gamma = 0 it is one Procrustes solve,
+    and graph is not read.
     """
     t_start = time.perf_counter()
     timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
     fused = instance.gamma > 0.0
     if fused:
-        delta = cap_delta(instance.delta, instance.n)
-        if graph is None:
-            graph = build_fusion_graph(instance.data, instance.tau, delta, instance.rho)
+        built = graph is None
+        graph = _fit_graph(instance, graph)
+        if built:
             timings["graph"] = time.perf_counter() - t_start
-        elif graph.n != instance.n:
-            raise ValueError(f"fusion graph is on {graph.n} rows, the data has {instance.n}")
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
     p, d = instance.p, instance.d
@@ -135,8 +147,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         graph_diagnostics = {"omega": graph.omega, "edges": graph.m}
     else:
         graph_diagnostics = {"edges": 0}
-        state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)),
-                             Q=Y0.copy())
+        Y0 = Y0.copy()
+        state = ScoringState(Y=Y0, V=np.zeros((0, d)), Lambda=np.zeros((0, d)), Q=Y0)
 
     # the fusion term changes only with Y: evaluated once per accepted Y, it
     # serves the B step's check and the next trace entry
@@ -161,9 +173,9 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         B = B_new
 
         t0 = time.perf_counter()
-        # the scoring steps replace Y, V and Lambda rather than write into
-        # them, so the arrays themselves are the rollback snapshot
-        prev = (state.Y, state.V, state.Lambda)
+        # the scoring steps replace Y rather than write into it, so the
+        # accepted array is the rollback snapshot: after one only Y is read
+        prev = state.Y
         if fused:
             inner_admm(W, state, graph, instance.gamma, instance.rho,
                        epsilon=instance.epsilon, max_inner=instance.max_inner,
@@ -178,8 +190,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
                                 state.carry.diffs if fused else None)
         obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
         if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
-            state.Y, state.V, state.Lambda = prev
-            state.Q = state.Y.copy()
+            state.Y = prev
             trace.append(obj_b)
             status = "stalled"
             warnings.warn("scoring step raised the loss; keeping the previous "

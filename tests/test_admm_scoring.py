@@ -19,7 +19,7 @@ from rsodc.admm_scoring import (
     update_Y,
 )
 from rsodc.core import thin_svd
-from rsodc.fusion_graph import build_fusion_graph
+from rsodc.fusion_graph import build_fusion_graph, build_quadratic
 from rsodc.group_lasso import group_soft_threshold
 
 
@@ -178,8 +178,6 @@ def test_update_Lambda_accumulates_residual():
     resid = state.V - edge_differences(Y, graph)
     update_Lambda(state, graph, rho)
     np.testing.assert_allclose(state.Lambda, rho * resid, atol=1e-12)
-    assert state.primal_residual == pytest.approx(
-        float(np.max(np.linalg.norm(resid, axis=1))))
 
 
 def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
@@ -222,13 +220,13 @@ def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
     recomputed.Y = recomputed.Y.copy()
     recomputed.V = recomputed.V.copy()
     recomputed.Lambda = recomputed.Lambda.copy()
-    assert carried.carry.holds(carried, graph, gamma, rho)
-    assert not recomputed.carry.holds(recomputed, graph, gamma, rho)
-    for name in ("Y", "V", "Lambda"):
-        # any one of the three replaced voids it
+    assert carried.carry.holds(carried, graph)
+    assert not recomputed.carry.holds(recomputed, graph)
+    for name in ("Y", "V"):
+        # either of the two replaced voids it
         probe = dataclasses.replace(carried)
         setattr(probe, name, getattr(probe, name).copy())
-        assert not probe.carry.holds(probe, graph, gamma, rho)
+        assert not probe.carry.holds(probe, graph)
 
     gathers = []
     real = admm_scoring.edge_differences
@@ -246,19 +244,31 @@ def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
                                rtol=1e-12, atol=0)
 
 
-def test_inner_admm_recomputes_its_set_up_for_another_gamma_or_rho():
+def test_inner_admm_carries_its_set_up_across_gamma_rho_and_Lambda(monkeypatch):
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(11))
     state = init_state(Y0, graph)
     inner_admm(W1, state, graph, 0.02, 0.05, epsilon=1e-8)
-    assert not state.carry.holds(state, graph, 0.03, 0.05)
-    assert not state.carry.holds(state, graph, 0.02, 0.06)
-    # the start of the next call at another gamma is the Lagrangian there
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        inner_admm(W2, state, graph, 0.03, 0.05, max_inner=0)
+    # the carried arrays depend on Y, V and the graph alone
+    state.Lambda = state.Lambda + 0.1 * np.random.default_rng(12).standard_normal(
+        state.Lambda.shape)
+    assert state.carry.holds(state, graph)
+    assert not state.carry.holds(state, build_quadratic(graph, 0.05))
+    # the start of each next call is the Lagrangian there, recomputed in full
     expect = init_state(Y0, graph)
     expect.Y, expect.V, expect.Lambda = state.Y, state.V, state.Lambda
-    assert state.inner_objective[0] == pytest.approx(
-        augmented_lagrangian(W2, expect, graph, 0.03, 0.05), rel=1e-12)
+    cases = [(0.03, 0.05), (0.02, 0.06)]
+    starts = [augmented_lagrangian(W2, expect, graph, gamma, rho) for gamma, rho in cases]
+
+    gathers = []
+    real = admm_scoring.edge_differences
+    monkeypatch.setattr(admm_scoring, "edge_differences",
+                        lambda Y, g: gathers.append(Y) or real(Y, g))
+    for (gamma, rho), start in zip(cases, starts):
+        probe = dataclasses.replace(state)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            inner_admm(W2, probe, graph, gamma, rho, max_inner=0)
+        assert probe.inner_objective[0] == pytest.approx(start, rel=1e-12)
+    assert gathers == []
 
 
 def test_init_state_and_an_inner_iteration_keep_V_and_Lambda_F_contiguous():

@@ -186,8 +186,6 @@ def test_edge_operator_reproduces_C():
     C = graph.C
     via_edges = (rho / 2.0) * edge_scatter(edge_gather(Q, graph.edges), graph.edges, 120)
     np.testing.assert_allclose(via_edges, C @ Q, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(graph.apply_C(Q), C @ Q, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(graph.apply_C(Q[:, 0]), C @ Q[:, 0], rtol=0, atol=1e-12)
     # the scatter is the sum of g_l t_l^T over edges
     T = np.random.default_rng(6).standard_normal((graph.m, 3))
     expect = sum(np.outer(incidence_vector(tuple(e), 120), t) for e, t in zip(graph.edges, T))
@@ -201,7 +199,6 @@ def test_edge_operator_on_the_empty_graph():
     assert edge_gather(Q, empty.edges).shape == (0, 2)
     np.testing.assert_array_equal(edge_scatter(np.zeros((0, 2)), empty.edges, 4),
                                   np.zeros((4, 2)))
-    np.testing.assert_array_equal(empty.apply_C(Q), np.zeros((4, 2)))
 
 
 def test_graph_build_and_inner_admm_never_hold_an_n_by_n_float():

@@ -40,6 +40,9 @@ def test_param_grid_validation():
     bad = ParamGrid(gamma_candidates=(0.5,), rho_candidates=(0.1,))
     with pytest.raises(ValueError):
         bad.combos("paper")
+    for name in ("eta1_candidates", "gamma_candidates", "rho_candidates"):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            ParamGrid(**{name: ()})
 
 
 def test_selection_indicator():

@@ -29,7 +29,7 @@ def _blobs(rng, k: int = 3, per: int = 10, spread: float = 0.15) -> tuple:
 
 def test_objective_hand_value():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    inst = ProblemInstance(data=X, k=2, eta1=0.5, eta2=0.25, gamma=0.01, rho=0.1)
+    inst = ProblemInstance(data=X, k=2, eta1=0.5, eta2=0.25, gamma=0.01, rho=0.1, delta=2)
     B = np.array([[1.0], [-2.0]])
     Y = np.array([[0.5], [0.5], [-1.0]])
     graph = build_fusion_graph(X, tau=0.0, delta=2, rho=0.1)
@@ -41,6 +41,20 @@ def test_objective_hand_value():
         np.linalg.norm(Y[i] - Y[j]) for i, j in graph.edges)
     expect = fit + ridge + sparsity + fusion
     assert objective(inst, B, Y, graph) == pytest.approx(expect, rel=1e-12)
+
+
+def test_objective_reads_the_graph_the_fit_reads():
+    X, _ = generate(SimulationConfig(n=60, p=20, k=3, theta=2.2, xi=0.5, seed=1))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.05, rho=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_rsodc(inst, seed=0)
+    # without a graph, the fusion term sums over the one the fit built
+    assert objective(inst, fit.B_hat, fit.Y_hat) == fit.objective_trace[-1]
+    for rows in (50, 70):
+        graph = build_fusion_graph(np.random.default_rng(rows).standard_normal((rows, 20)))
+        with pytest.raises(ValueError, match=f"on {rows} rows"):
+            objective(inst, fit.B_hat, fit.Y_hat, graph)
 
 
 def test_fit_sodc_recovers_separated_blobs():
