@@ -23,8 +23,7 @@ def _bounds(values: np.ndarray):
     return lo, hi
 
 
-def scatter_svg(points, labels, path, title: str = "",
-                xlabel: str = "component 1", ylabel: str = "component 2") -> None:
+def scatter_svg(points, labels, path, title: str = "") -> None:
     """Write a 2-d scatter colored by cluster label.
 
     Uses the first two columns of `points`; a single column is plotted
@@ -71,10 +70,10 @@ def scatter_svg(points, labels, path, title: str = "",
         parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" {font} '
                      f'text-anchor="end">{vy:.4g}</text>')
     parts.append(f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 12}" {font} '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">component 1</text>')
     parts.append(f'<text x="16" y="{_MT + plot_h / 2:.1f}" {font} '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{_MT + plot_h / 2:.1f})">{ylabel}</text>')
+                 f'{_MT + plot_h / 2:.1f})">component 2</text>')
     if title:
         parts.append(f'<text x="{_W / 2:.1f}" y="24" font-family="sans-serif" '
                      f'font-size="15" text-anchor="middle">{title}</text>')

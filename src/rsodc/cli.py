@@ -50,15 +50,18 @@ SIM_GRIDS = dict(TUNE_GRIDS, tau=(0.001, 0.005, 0.01, 0.05, 0.1), delta=range(5,
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RSODC_THREADS", "").strip()
-    if env:
+    """--threads, else RSODC_THREADS, else 1; a count below 1 is an input error."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("RSODC_THREADS", "").strip() or "1"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise InputError(f"RSODC_THREADS must be an integer, got {env!r}")
-    return 1
+    if threads < 1:
+        source = "RSODC_THREADS" if args.threads is None else "--threads"
+        raise InputError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _parse_list(text: str, flag: str, cast) -> tuple:
@@ -72,7 +75,7 @@ def _parse_list(text: str, flag: str, cast) -> tuple:
     return values
 
 
-def _manifest(args, inputs, outputs, timings, threads) -> dict:
+def _manifest(args, inputs, outputs, timings, threads=1) -> dict:
     return {
         "command": args.command,
         "version": __version__,
@@ -114,19 +117,18 @@ def _with(args, changes) -> argparse.Namespace:
 
 
 def _fit_model(X, args, seed, graph=None):
-    """(method, fit) for the model args describe: sodc when gamma = 0, else
-    rsodc on graph, which the fit builds when None."""
+    """The fit args describe: sodc when gamma = 0, else rsodc on graph,
+    which the fit builds when None."""
     inst = _instance(X, args.k, args)
     if inst.gamma == 0.0:
-        return "sodc", fit_sodc(inst, seed=seed)
-    return "rsodc", fit_rsodc(inst, graph, seed=seed)
+        return fit_sodc(inst, seed=seed)
+    return fit_rsodc(inst, graph, seed=seed)
 
 
 def cmd_fit(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
-    threads = _threads(args)
     t0 = time.perf_counter()
-    method, fit = _fit_model(X, args, args.seed)
+    fit = _fit_model(X, args, args.seed)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -139,7 +141,7 @@ def cmd_fit(args) -> int:
     scatter_svg(fit.Y_hat, fit.labels, os.path.join(args.out, "scoring.svg"),
                 title="scoring matrix")
     payload = {
-        "method": method,
+        "method": fit.method,
         "k": args.k,
         "params": _settings(args),
         "b_hat": fit.B_hat,
@@ -147,36 +149,36 @@ def cmd_fit(args) -> int:
         "embedding": fit.embedding,
         "labels": fit.labels,
         "objective_trace": fit.objective_trace,
-        "converged": fit.converged,
+        "converged": fit.status == "converged",
         "status": fit.status,
         "outer_iters": fit.outer_iters,
         "inner_iterations": fit.inner_iterations,
         "diagnostics": fit.diagnostics,
         "manifest": _manifest(args, [args.csv], outputs,
-                              dict(fit.timings, command=elapsed), threads),
+                              dict(fit.timings, command=elapsed)),
     }
     write_json(os.path.join(args.out, "fit.json"), payload, "fit.schema.json")
-    print(f"{method}: status={fit.status} objective={fit.objective_trace[-1]:.6g} "
+    print(f"{fit.method}: status={fit.status} objective={fit.objective_trace[-1]:.6g} "
           f"outer_iters={fit.outer_iters} -> {args.out}/")
     return 0
 
 
-def _weight_grid(args, repeats: int = 10):
-    """(ParamGrid, combos) from the --grid-* flags; a grid with no usable
-    combination is an input error."""
+def _weight_grid(args, **options):
+    """(ParamGrid, combos) from the --grid-* flags and ParamGrid's other
+    fields in options; a grid with no usable combination is an input error."""
     with _input_errors():
         grid = ParamGrid(
             eta1_candidates=_parse_list(args.grid_eta1, "--grid-eta1", float),
             gamma_candidates=_parse_list(args.grid_gamma, "--grid-gamma", float),
             rho_candidates=_parse_list(args.grid_rho, "--grid-rho", float),
-            repeats=repeats)
+            **options)
         return grid, grid.combos(args.v_mode)
 
 
 def cmd_tune(args) -> int:
     X = read_matrix_csv(args.csv, header=not args.no_header)
     threads = _threads(args)
-    grid, combos = _weight_grid(args, args.repeats)
+    grid, combos = _weight_grid(args, repeats=args.repeats)
     t0 = time.perf_counter()
     with _input_errors(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -271,7 +273,7 @@ def _replicate_fit(args, data, r, changes) -> dict:
     if changes.get("method") == "tandem":
         fit = tandem_baseline(X, args.k, seed=seed)
     else:
-        fit = _fit_model(X, _with(args, changes), seed, graph)[1]
+        fit = _fit_model(X, _with(args, changes), seed, graph)
     seconds = time.perf_counter() - t0
     sensitivity, specificity = sensitivity_specificity(fit.B_hat, range(1, args.q + 1),
                                                        args.k)
@@ -418,6 +420,7 @@ def cmd_simulate(args) -> int:
         # replicate r draws its dataset from the stream (seed, 21, r)
         datasets = [generate(_sim_config(args, child_seed(args.seed, 21, r)))
                     for r in range(1 if design.one_dataset else reps)]
+        _instance(datasets[0][0], args.k, args)  # the solver flags as given
         for variant in variants:  # every replicate's data has the same shape
             _check_variant(args, datasets[0][0], variant)
         datasets = [(X, truth, graph) for (X, truth), graph
@@ -488,23 +491,26 @@ def cmd_evaluate(args) -> int:
         if X.shape[0] != labels.shape[0]:
             raise InputError(f"data has {X.shape[0]} rows, fit has "
                              f"{labels.shape[0]}")
-        metrics["f_scores"] = anova_f_scores(X, labels)
+        with _input_errors():
+            metrics["f_scores"] = anova_f_scores(X, labels)
     elapsed = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
     inputs = [args.fit, args.truth] + ([args.data] if args.data else [])
     metrics["manifest"] = _manifest(args, inputs, ["metrics.json"],
-                                    {"command": elapsed}, _threads(args))
+                                    {"command": elapsed})
     write_json(os.path.join(args.out, "metrics.json"), metrics,
                "metrics.schema.json")
     print(f"ari={metrics['ari']:.4f} -> {args.out}/")
     return 0
 
 
-def _add_common(p) -> None:
+def _add_common(p, parallel: bool) -> None:
+    """--seed and --out, and --threads for a command that runs work in parallel."""
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: RSODC_THREADS or 1)")
+    if parallel:
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads (default: RSODC_THREADS or 1)")
     p.add_argument("--out", default="rsodc_out", help="output directory")
 
 
@@ -544,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-header", action="store_true",
                    help="input CSV has no header row")
     _add_solver(p)
-    _add_common(p)
+    _add_common(p, parallel=False)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("tune", help="stability cross-validation over a weight grid")
@@ -552,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--no-header", action="store_true")
     _add_grids(p, TUNE_GRIDS)
-    p.add_argument("--repeats", type=int, default=10,
+    p.add_argument("--repeats", type=int, default=ParamGrid.repeats,
                    help="random half-splits per combination")
     _add_solver(p, *TUNE_GRIDS)  # the grid supplies these weights
-    _add_common(p)
+    _add_common(p, parallel=True)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("select-k", help="choose the cluster count by gap statistic")
@@ -568,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="k-means restarts inside the gap computation")
     p.add_argument("--no-header", action="store_true")
     _add_solver(p)
-    _add_common(p)
+    _add_common(p, parallel=True)
     p.set_defaults(func=cmd_select_k)
 
     p = sub.add_parser("simulate", help="run a synthetic study design")
@@ -580,10 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=2.2, help="centroid distance")
     p.add_argument("--xi", type=float, default=0.5,
                    help="informative-block correlation")
-    p.add_argument("--q", type=int, default=2, help="informative variable count")
+    p.add_argument("--q", type=int, default=SimulationConfig.q,
+                   help="informative variable count")
     p.add_argument("--c-star", type=int, default=None,
                    help="correlated-noise count (default: by p)")
-    p.add_argument("--xi-dagger", type=float, default=0.6,
+    p.add_argument("--xi-dagger", type=float, default=SimulationConfig.xi_dagger,
                    help="correlated-noise correlation")
     _add_grids(p, SIM_GRIDS)
     p.add_argument("--k-min", type=int, default=model_selection.GAP_K_RANGE[0],
@@ -592,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="design 3 candidate cap")
     p.add_argument("--mc-samples", type=int, default=model_selection.GAP_MC_SAMPLES)
     _add_solver(p, eta1=2.5, gamma=0.001, rho=0.01)
-    _add_common(p)
+    _add_common(p, parallel=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a fit against ground truth")
@@ -603,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None,
                    help="original matrix CSV for per-variable F scores")
     p.add_argument("--no-header", action="store_true")
-    _add_common(p)
+    _add_common(p, parallel=False)
     p.set_defaults(func=cmd_evaluate)
 
     return parser

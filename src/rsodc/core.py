@@ -121,29 +121,18 @@ def thin_svd(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return L, sigma, Rt.T
 
 
-def top_eigenvalue_sym(C, n: int | None = None) -> float:
-    """Largest eigenvalue of a symmetric PSD operator.
+def top_eigenvalue_sym(matvec, n: int) -> float:
+    """Largest eigenvalue of a symmetric PSD operator C, given as the
+    function v -> C v on length-n vectors.
 
-    C is a dense symmetric matrix (asymmetry beyond 1e-8 is a contract
-    violation) or a function v -> C v on length-n vectors, with n given.
     Runs min(n, LANCZOS_STEPS) Lanczos steps with full reorthogonalization
     from a fixed-seed Gaussian start and returns the top eigenvalue of the
     tridiagonal matrix. When the steps span the whole space the value is
     exact up to rounding; otherwise it is a Ritz value, never above the
     true eigenvalue.
     """
-    if callable(C):
-        if n is None or n < 1:
-            raise ValueError("a matvec operator needs its dimension n >= 1")
-        matvec = C
-    else:
-        C = check_matrix(C, "C")
-        n, cols = C.shape
-        if n != cols:
-            raise ValueError(f"C must be square, got shape {C.shape}")
-        if np.max(np.abs(C - C.T)) > 1e-8:
-            raise ValueError("C must be symmetric")
-        matvec = C.__matmul__
+    if n < 1:
+        raise ValueError(f"the operator's dimension n must be >= 1, got {n}")
     steps = min(int(n), LANCZOS_STEPS)
     basis = np.zeros((steps, n))
     diag = np.zeros(steps)

@@ -90,7 +90,7 @@ class FusionGraph:
     def __post_init__(self):
         self.edges = np.asfortranarray(self.edges)
         if self.lmax is None:
-            self.lmax = top_eigenvalue_sym(self._apply_laplacian, n=self.n) if self.m else 0.0
+            self.lmax = top_eigenvalue_sym(self._apply_laplacian, self.n) if self.m else 0.0
 
     @property
     def m(self) -> int:

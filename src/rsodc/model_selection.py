@@ -212,6 +212,8 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
         raise ValueError(f"k candidates must lie in [1, {n - 1}]")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if reference not in ("uniform", "pca"):
         raise ValueError("reference must be 'uniform' or 'pca'")
     if reference == "pca":
@@ -231,7 +233,7 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
     gap = np.empty(len(ks))
     se = np.empty(len(ks))
     for idx, k in enumerate(ks):
-        per_block = max(1, GAP_BLOCK_ELEMENTS // (max(1, restarts) * n * k))
+        per_block = max(1, GAP_BLOCK_ELEMENTS // (restarts * n * k))
         logs = []
         # b = -1 is the data, b >= 0 the reference draws
         for start in range(-1, mc_samples, per_block):
@@ -274,6 +276,8 @@ def select_k_by_gap(X, k_range=GAP_K_RANGE, mc_samples: int = GAP_MC_SAMPLES,
         raise ValueError(f"k candidates must lie in [2, {n - 1}], got {ks}")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     instances = {k: ProblemInstance(data=X, k=k, **settings) for k in ks}
     first = instances[ks[0]]  # every candidate has the same graph settings
     graph = None

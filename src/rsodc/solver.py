@@ -47,7 +47,6 @@ class FitResult:
     labels: np.ndarray
     objective_trace: np.ndarray
     outer_iters: int
-    converged: bool
     status: str
     method: str
     timings: dict = field(default_factory=dict)
@@ -156,13 +155,15 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     trace = [_objective_terms(Xc @ B, B, state.Y, fusion, instance)]
     gram = Xc.T @ Xc
     inner_iterations: list = []
+    b_sweeps: list = []
     status = "max_outer"
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
         # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
         # so the subproblem gets 2 eta2 and the B step minimises the loss in B
         design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
-        B_new, _ = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
+        B_new, sweeps = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
+        b_sweeps.append(sweeps)
         W = Xc @ B_new
         timings["b_step"] += time.perf_counter() - t0
         obj_b = _objective_terms(W, B_new, state.Y, fusion, instance)
@@ -218,7 +219,6 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         labels=labels,
         objective_trace=np.asarray(trace),
         outer_iters=len(trace) - 1,
-        converged=status == "converged",
         status=status,
         method=method,
         timings=timings,
@@ -228,6 +228,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             "max_center_violation": state.max_center_violation,
             "degenerate_updates": state.degenerate_updates,
             "convergence_count": len(trace) - 1 + sum(inner_iterations),
+            "b_sweeps": b_sweeps,
             "kmeans_inertia": centroids.inertia,
             **graph_diagnostics,
         },
@@ -419,7 +420,8 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    restarts = max(1, int(restarts))
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     centers = _seed_restarts(P, k, restarts, [as_generator(seed) for seed in seeds])
     owner = np.repeat(np.arange(S), restarts)
 
@@ -486,7 +488,6 @@ def tandem_baseline(X, k: int, seed=0) -> FitResult:
         labels=labels,
         objective_trace=np.zeros(0),
         outer_iters=0,
-        converged=True,
         status="converged",
         method="tandem",
         timings={"total": total, "kmeans": total},

@@ -260,12 +260,54 @@ def test_evaluate_input_validation(dataset, tmp_path):
 def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
     data, _, _, _ = dataset
     out = tmp_path / "env"
+    select_k = ["select-k", str(data), "--k-min", "2", "--k-max", "3",
+                "--mc-samples", "5", "--out", str(out)]
     monkeypatch.setenv("RSODC_THREADS", "2")
+    assert _run(select_k) == 0
+    payload = json.loads((out / "chosen_k.json").read_text())
+    assert payload["manifest"]["threads"] == 2
+    # a fit runs nothing in parallel, so it records one thread
     assert _run(["fit", str(data), "--k", "3", "--out", str(out)]) == 0
     payload = json.loads((out / "fit.json").read_text())
-    assert payload["manifest"]["threads"] == 2
+    assert payload["manifest"]["threads"] == 1
+    for bad in ("zebra", "0"):
+        monkeypatch.setenv("RSODC_THREADS", bad)
+        assert _run(select_k) == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_serial_commands_take_no_thread_count(command, dataset, tmp_path, monkeypatch,
+                                              capsys):
+    data, truth, _, _ = dataset
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    assert "--threads" not in capsys.readouterr().out
+    fit_out = tmp_path / "fit"
+    argv = {"fit": ["fit", str(data), "--k", "3", "--out", str(fit_out)],
+            "evaluate": ["evaluate", "--fit", str(fit_out / "fit.json"),
+                         "--truth", str(truth), "--out", str(tmp_path / "eval")]}
+    assert _run(argv["fit"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        _run(argv[command] + ["--threads", "2"])
+    assert exit_info.value.code == 2
+    # RSODC_THREADS is not read, so a malformed value does not matter
     monkeypatch.setenv("RSODC_THREADS", "zebra")
-    assert _run(["fit", str(data), "--k", "3", "--out", str(out)]) == 2
+    assert _run(argv[command]) == 0
+
+
+def test_evaluate_rejects_non_finite_data(dataset, tmp_path, capsys):
+    data, truth, X, _ = dataset
+    fit_out = tmp_path / "fit"
+    assert _run(["fit", str(data), "--k", "3", "--out", str(fit_out)]) == 0
+    X = X.copy()
+    X[4, 2] = np.nan
+    bad = tmp_path / "nan.csv"
+    write_matrix_csv(bad, X, [f"v{j + 1}" for j in range(X.shape[1])])
+    capsys.readouterr()
+    assert _run(["evaluate", "--fit", str(fit_out / "fit.json"), "--truth", str(truth),
+                 "--data", str(bad), "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_no_header_flag(tmp_path):
@@ -410,6 +452,14 @@ BAD_FLAGS = [
     ("tune", ["--tau", "-1"]),
     ("fit", ["--tau", "-1"]),
     ("simulate", ["--design", "4", "--grid-tau", "-1"]),
+    ("select-k", ["--restarts", "0"]),
+    ("select-k", ["--restarts", "-4"]),
+    ("select-k", ["--threads", "0"]),
+    ("tune", ["--threads", "-1"]),
+    ("simulate", ["--design", "1", "--threads", "0"]),
+    # flags that design 2 and design 4 sweep over are checked as given too
+    ("simulate", ["--design", "2", "--eta1", "-5", "--gamma", "-9"]),
+    ("simulate", ["--design", "4", "--tau", "-1"]),
 ]
 BASE_ARGS = {
     "select-k": ["--k-min", "2", "--k-max", "3", "--mc-samples", "5"],
@@ -477,6 +527,15 @@ def test_parser_defaults_come_from_model_selection():
     for args in (select_k, simulate):
         assert {flag: args[flag] for flag in gap} == gap
     assert select_k["restarts"] == model_selection.GAP_RESTARTS
+
+
+def test_parser_defaults_come_from_the_library():
+    parser = build_parser()
+    tune = parser.parse_args(["tune", "x.csv", "--k", "3"])
+    simulate = parser.parse_args(["simulate", "--design", "1"])
+    assert tune.repeats == model_selection.ParamGrid().repeats
+    config = SimulationConfig(n=60, p=20, k=3, theta=2.2, xi=0.5)
+    assert (simulate.q, simulate.xi_dagger) == (config.q, config.xi_dagger)
 
 
 @pytest.mark.parametrize("flags, builds", [

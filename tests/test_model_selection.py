@@ -237,6 +237,19 @@ def test_select_k_by_gap_validates_range():
         select_k_by_gap(X, [6])  # k - 1 exceeds p
 
 
+@pytest.mark.parametrize("restarts", [0, -4])
+def test_gap_selection_refuses_fewer_than_one_restart(restarts, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(model_selection, "fit_rsodc", no_fit)
+    X = np.random.default_rng(0).standard_normal((30, 4))
+    with pytest.raises(ValueError, match="restarts"):
+        gap_statistic(X, [2, 3], mc_samples=3, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        select_k_by_gap(X, [2, 3], mc_samples=3, restarts=restarts)
+
+
 def test_select_k_by_gap_thread_invariance():
     cfg = SimulationConfig(n=30, p=20, k=2, theta=2.5, xi=0.5, seed=21)
     X, _ = generate(cfg)

@@ -173,6 +173,13 @@ def test_kmeans_needs_at_least_one_lloyd_pass():
     assert set(labels.tolist()) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("restarts", [0, -4])
+def test_kmeans_refuses_fewer_than_one_restart(restarts):
+    P = np.random.default_rng(0).standard_normal((30, 2))
+    with pytest.raises(ValueError, match="restarts"):
+        kmeans(P, 3, restarts=restarts, seed=0)
+
+
 def test_kmeans_is_deterministic_per_seed():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((50, 3))
@@ -549,3 +556,22 @@ def test_last_trace_entry_is_the_loss_at_the_returned_estimates(gamma, rho, stat
     if status == "stalled":
         assert any("scoring step raised the loss" in str(w.message) for w in caught)
     assert fit.objective_trace[-1] == objective(inst, fit.B_hat, fit.Y_hat, graph)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.003])
+def test_fit_reports_the_sweeps_of_each_b_step(gamma, monkeypatch):
+    solve_B, returned = solver.solve_B, []
+
+    def counting_solve_B(*args, **kwargs):
+        result = solve_B(*args, **kwargs)
+        returned.append(result[1])
+        return result
+
+    monkeypatch.setattr(solver, "solve_B", counting_solve_B)
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.5, xi=0.5, seed=4))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=gamma, rho=0.05, max_outer=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_rsodc(inst, seed=1)
+    assert fit.diagnostics["b_sweeps"] == returned
+    assert len(returned) == fit.outer_iters and min(returned) >= 1
