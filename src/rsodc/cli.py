@@ -449,6 +449,9 @@ def cmd_simulate(args) -> int:
         "replicates": reps,
         "aggregate": aggregate,
         "failures": failures,
+        # design 3's rows are select-k runs and carry no fit status
+        "fits_stalled": sum(row.get("status") == "stalled" for row in rows),
+        "fits_max_outer": sum(row.get("status") == "max_outer" for row in rows),
         "warnings": len(caught),
         "manifest": _manifest(args, [], outputs, {"command": elapsed}, threads),
     }

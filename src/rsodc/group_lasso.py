@@ -182,6 +182,8 @@ def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
     scale = design.col_norms_sq + design.eta2
     GB = G @ B
     obj = _gram_objective(B, GB, design, eta1)
+    # whether beta_j is all zero: a zero group that stays zero changes nothing
+    zero = [not bj.any() for bj in B]
     for sweep in range(1, int(max_sweeps) + 1):
         for j in range(p):
             bj = B[j]
@@ -193,11 +195,14 @@ def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
                 raise FloatingPointError(f"non-finite update in group {j}")
             if shrink * norm < ZERO_TOL:
                 shrink = 0.0
+            if shrink == 0.0 and zero[j]:
+                continue
             bj_new = c * shrink
             delta = bj_new - bj
             if delta.any():
                 GB += G[:, j, None] * delta
                 B[j] = bj_new
+                zero[j] = shrink == 0.0
         new_obj = _gram_objective(B, GB, design, eta1)
         if obj - new_obj < epsilon:
             return B, sweep

@@ -308,7 +308,7 @@ def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
     weight before its last centre would have drawn integers(n) there
     instead; that set rewinds its generator and seeds with _kmeans_pp.
     """
-    S, n, _ = P.shape
+    S, n, d = P.shape
     states = [rng.bit_generator.state for rng in rngs]
     first = np.empty((S, restarts), dtype=np.intp)
     u = np.empty((S, restarts, k - 1))
@@ -318,17 +318,26 @@ def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
             u[s, r] = rng.random(k - 1)
     u = u.reshape(S * restarts, k - 1)
     sets = np.arange(S)[:, None]
-    points = P[:, None]  # each set broadcast over its restarts
+    # coordinate j of every set, contiguous, broadcast over the restarts
+    PT = np.ascontiguousarray(P.transpose(2, 0, 1))[:, :, None]
+    diff = np.empty((S, restarts, n))
 
-    def sq_dist(idx):
-        # squared distance from every point to each restart's new centre
-        diff = points - P[sets, idx][:, :, None]
-        np.square(diff, out=diff)
-        return diff.sum(axis=-1).reshape(S * restarts, n)
+    def sq_dist(idx, out):
+        # squared distance from every point to each restart's new centre,
+        # added one coordinate at a time over contiguous S x R x n planes
+        C = P[sets, idx][:, :, :, None]
+        out.fill(0.0)
+        for j in range(d):
+            np.subtract(PT[j], C[:, :, j], out=diff)
+            np.square(diff, out=diff)
+            out += diff
+        return out.reshape(S * restarts, n)
 
-    centers = np.empty((S, restarts, k, P.shape[2]))
+    centers = np.empty((S, restarts, k, d))
     centers[:, :, 0] = P[sets, first]
-    dist = sq_dist(first)
+    dist = sq_dist(first, np.empty((S, restarts, n)))
+    # each draw's cdf, then the new centre's distances
+    nearer = np.empty((S, restarts, n))
     redo = np.zeros(S, dtype=bool)
     for c in range(1, k):
         total = dist.sum(axis=1)
@@ -337,15 +346,37 @@ def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
             redo[np.flatnonzero(empty) // restarts] = True
             # placeholder weights for rows whose set is reseeded below
             dist[empty], total[empty] = 1.0, n
-        cdf = np.cumsum(dist / total[:, None], axis=1)
+        cdf = np.divide(dist, total[:, None], out=nearer.reshape(S * restarts, n))
+        np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
         idx = np.count_nonzero(cdf <= u[:, c - 1, None], axis=1).reshape(S, restarts)
         centers[:, :, c] = P[sets, idx]
-        dist = np.minimum(dist, sq_dist(idx))
+        np.minimum(dist, sq_dist(idx, nearer), out=dist)
     for s in np.flatnonzero(redo):
         rngs[s].bit_generator.state = states[s]
         centers[s] = [_kmeans_pp(P[s], k, rngs[s]) for _ in range(restarts)]
-    return centers.reshape(S * restarts, k, P.shape[2])
+    return centers.reshape(S * restarts, k, d)
+
+
+def _first_min(d2: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """np.argmin(d2, axis=1) for an a x k x n array; plane 0 of d2 is left
+    holding each point's smallest distance.
+
+    A running minimum over the k contiguous planes: plane c takes a point
+    only where it is strictly closer, so ties go to the lowest index, as
+    with argmin. Planes come in increasing order, so a taken point's label
+    rises to c as the larger of its label and c times the taken mask, with
+    no branch per point. taken is a x n integer scratch.
+    """
+    best = d2[:, 0]
+    labels = np.zeros(taken.shape, dtype=np.intp)
+    for c in range(1, d2.shape[1]):
+        plane = d2[:, c]
+        np.less(plane, best, out=taken)
+        np.minimum(best, plane, out=best)
+        taken *= c
+        np.maximum(labels, taken, out=labels)
+    return labels
 
 
 def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
@@ -364,18 +395,19 @@ def _repair_empty(labels: np.ndarray, point_d2: np.ndarray, k: int) -> None:
         labels[far] = c
 
 
-def _cluster_means(PT: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster means, a x k x d, for each row of an a x n label array.
+def _cluster_means(PT: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-cluster means, a x k x d, for each row of an a x n label array
+    whose cluster sizes are the a x k sizes.
 
     PT stacks the transposed point sets, d x a x n, row i's set at PT[:, i];
     a single set, d x 1 x n, serves every row. Cluster c of row i is bin
     i*k + c; np.bincount adds each cluster's points in row order, as
     P[labels == c].mean(axis=0) does for d >= 2.
     """
-    a, n = labels.shape
+    (a, n), k = labels.shape, sizes.shape[1]
     d = PT.shape[0]
     bins = (labels + (np.arange(a) * k)[:, None]).ravel()
-    counts = np.bincount(bins, minlength=a * k)[:, None]
+    counts = sizes.reshape(a * k, 1)
     columns = np.broadcast_to(PT, (d, a, n)).reshape(d, a * n)
     sums = np.stack([np.bincount(bins, col, minlength=a * k) for col in columns], axis=1)
     return (sums / counts).reshape(a, k, d)
@@ -405,7 +437,7 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     draws from its own generator, in restart order, and every restart of
     every set is seeded in one vectorised pass (_seed_restarts): the same
     centres and generator states as seeding restart by restart. Then every
-    restart of every set runs through one Lloyd loop over an (S R) x n x k
+    restart of every set runs through one Lloyd loop over an (S R) x k x n
     distance array, each on its own set's points, and leaves the loop once
     its labels stop changing or after max_iter (at least 1) passes. Empty
     clusters are repaired by promoting the point farthest from its center.
@@ -430,30 +462,35 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
         # each restart's own set
         return owner[r] if S > 1 else slice(None)
 
-    labels = np.full((S * restarts, n), -1)
-    P2, PT = 2.0 * P, np.ascontiguousarray(P.transpose(2, 0, 1))
-    sq = np.sum(P * P, axis=2)[:, :, None]
-    rows = np.arange(n)
-    active = np.arange(S * restarts)
+    A = S * restarts
+    labels = np.full((A, n), -1)
+    PT = np.ascontiguousarray(P.transpose(2, 0, 1))
+    # point-major: each restart's distances are k contiguous planes of n
+    P2T = 2.0 * np.ascontiguousarray(P.transpose(0, 2, 1))
+    sq = np.sum(P * P, axis=2)[:, None, :]
+    # _first_min's scratch, then the bins; an iteration uses the first a rows
+    taken = np.empty((A, n), dtype=np.intp)
+    active = np.arange(A)
     for _ in range(max_iter):
         if active.size == 0:
             break
-        own = sets_of(active)
+        own, a = sets_of(active), active.size
         C = centers[active]
         # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-        d2 = np.matmul(P2[own], C.transpose(0, 2, 1))
+        d2 = np.matmul(C, P2T[own])
         np.subtract(sq[own], d2, out=d2)
-        d2 += np.sum(C * C, axis=2)[:, None, :]
+        d2 += np.sum(C * C, axis=2)[:, :, None]
         np.maximum(d2, 0.0, out=d2)
-        new = np.argmin(d2, axis=2)
-        bins = new + (np.arange(active.size) * k)[:, None]
-        sizes = np.bincount(bins.ravel(), minlength=active.size * k).reshape(-1, k)
+        new = _first_min(d2, taken[:a])
+        bins = np.add(new, (np.arange(a) * k)[:, None], out=taken[:a])
+        sizes = np.bincount(bins.ravel(), minlength=a * k).reshape(-1, k)
         for i in np.flatnonzero((sizes == 0).any(axis=1)):
-            _repair_empty(new[i], d2[i, rows, new[i]], k)
+            _repair_empty(new[i], d2[i, 0], k)
+            sizes[i] = np.bincount(new[i], minlength=k)
         moved = (new != labels[active]).any(axis=1)
         active, new = active[moved], new[moved]
         labels[active] = new
-        centers[active] = _cluster_means(PT[:, sets_of(active)], new, k)
+        centers[active] = _cluster_means(PT[:, sets_of(active)], new, sizes[moved])
     # every restart's within-cluster sum of squares, in one pass
     diff = np.take_along_axis(centers, labels[:, :, None], axis=1)
     diff -= P[sets_of(slice(None))]

@@ -437,6 +437,31 @@ def test_batch_commands_count_warnings_and_fit_status(dataset, tmp_path):
     assert json.loads((tmp_path / "t" / "best_params.json").read_text())["warnings"] >= 1
 
 
+def test_simulate_counts_stalled_and_max_outer_fits(tmp_path):
+    runs = {
+        # one outer iteration never converges
+        "max_outer": ["--design", "5", "--replicates", "2", "--max-outer", "1"],
+        # gamma 0.5 ends every exact-mode fit on the rollback guard
+        "stalled": ["--design", "2", "--replicates", "2", "--grid-eta1", "2.5",
+                    "--grid-gamma", "0.001,0.5", "--grid-rho", "0.1"],
+        # select-k rows carry no fit status
+        "select_k": ["--design", "3", *SIM_RUNS[3][2:], "--replicates", "1"],
+    }
+    counts = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert _run(["simulate", "--n", "24", *flags, "--out", str(out)]) == 0
+        summary = json.loads((out / "simulate.json").read_text())
+        with open(out / "replicates.csv") as fh:
+            statuses = [r.get("status") for r in csv.DictReader(fh)]
+        assert summary["fits_stalled"] == statuses.count("stalled")
+        assert summary["fits_max_outer"] == statuses.count("max_outer")
+        counts[name] = (summary["fits_stalled"], summary["fits_max_outer"])
+    assert counts["max_outer"] == (0, 2)
+    assert counts["stalled"][0] >= 2
+    assert counts["select_k"] == (0, 0)
+
+
 BAD_FLAGS = [
     ("select-k", ["--eta1", "-1"]),
     ("select-k", ["--epsilon", "0"]),

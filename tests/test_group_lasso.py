@@ -6,6 +6,7 @@ import pytest
 from rsodc.core import ZERO_TOL, center_columns
 from rsodc.group_lasso import (
     StackedDesign,
+    _gram_objective,
     build_stacked,
     clamp_step,
     group_soft_threshold,
@@ -178,3 +179,58 @@ def test_build_stacked_rejects_a_gram_of_the_wrong_shape():
     design = _random_design(np.random.default_rng(13), n=30, p=6, d=2)
     with pytest.raises(ValueError):
         build_stacked(design.Y, design.Xc, 0.3, gram=np.eye(5))
+
+
+def _solve_B_visiting_every_group(B, design, eta1, epsilon=1e-6, max_sweeps=100):
+    """solve_B's sweeps as they ran before zero groups were skipped: every
+    group forms its update and writes it when it differs."""
+    B = np.array(B, dtype=float, copy=True)
+    G, H = design.G, design.H
+    scale = design.col_norms_sq + design.eta2
+    GB = G @ B
+    obj = _gram_objective(B, GB, design, eta1)
+    for sweep in range(1, max_sweeps + 1):
+        for j in range(design.p):
+            bj = B[j]
+            c = H[j] - GB[j] + G[j, j] * bj
+            norm = float(np.sqrt(c @ c))
+            shrink = (1.0 - eta1 / norm) / scale[j] if norm > eta1 and scale[j] > 0.0 else 0.0
+            if shrink * norm < ZERO_TOL:
+                shrink = 0.0
+            bj_new = c * shrink
+            delta = bj_new - bj
+            if delta.any():
+                GB += G[:, j, None] * delta
+                B[j] = bj_new
+        new_obj = _gram_objective(B, GB, design, eta1)
+        if obj - new_obj < epsilon:
+            return B, sweep
+        obj = new_obj
+    return B, max_sweeps
+
+
+def test_solve_B_skipping_zero_groups_matches_visiting_every_group():
+    # twelve informative columns of thirty, a start where some groups are
+    # zero and others not, and a path of eta1 values chained as a fit's B
+    # steps are: groups enter, leave and stay at zero along the way
+    rng = np.random.default_rng(14)
+    n, p, d = 60, 30, 3
+    X = center_columns(rng.standard_normal((n, p)))
+    Y = X[:, :12] @ rng.standard_normal((12, d)) * 0.3 + rng.standard_normal((n, d))
+    start = rng.standard_normal((p, d))
+    start[rng.permutation(p)[:12]] = 0.0
+    entered = left = stayed = 0
+    for eta2 in (0.0, 0.5):
+        design = build_stacked(Y, X, eta2)
+        B = start
+        for eta1 in (0.5, 4.0, 12.0, 25.0, 8.0, 2.0, 40.0, 1.0):
+            got, sweeps = solve_B(B, design, eta1, epsilon=1e-10)
+            want, want_sweeps = _solve_B_visiting_every_group(B, design, eta1, epsilon=1e-10)
+            np.testing.assert_array_equal(got, want)
+            assert sweeps == want_sweeps
+            was, now = B.any(axis=1), got.any(axis=1)
+            entered += int(np.sum(~was & now))
+            left += int(np.sum(was & ~now))
+            stayed += int(np.sum(~was & ~now))
+            B = got
+    assert entered > 0 and left > 0 and stayed > 0

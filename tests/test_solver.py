@@ -379,6 +379,29 @@ def test_batched_kmeans_memory_is_one_distance_array():
     assert peak < 4 * restarts * n * k * 8
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_first_min_matches_argmin_and_its_tie_rule(k):
+    rng = np.random.default_rng(k)
+    # few distinct values, so most points tie between planes, signed zeros among them
+    d2 = rng.choice([0.0, -0.0, 1.0, 2.5], size=(6, k, 40))
+    a, n = d2.shape[0], d2.shape[2]
+    want, nearest = np.argmin(d2, axis=1), np.min(d2, axis=1)
+    got = solver._first_min(d2, np.empty((a, n), dtype=np.intp))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(d2[:, 0], nearest)
+
+
+@pytest.mark.parametrize("restarts", [1, 10])
+def test_batched_kmeans_matches_per_restart_reference_in_eight_dimensions(restarts):
+    # d = 8 is where a pairwise sum over the coordinates stops being a
+    # sequential one; the reference seeds with the former, kmeans the latter
+    d, k = 8, 9
+    rng = np.random.default_rng([d, k, restarts])
+    blobs = rng.standard_normal((4, d)) * 3.0
+    P = blobs[rng.integers(4, size=150)] + rng.standard_normal((150, d))
+    _assert_matches_reference(P, k, restarts, seed=d * 100 + k * 10 + restarts)
+
+
 def test_weighted_draw_matches_generator_choice():
     weights_rng = np.random.default_rng(11)
     for n in range(2, 301):
@@ -417,6 +440,16 @@ def _assert_stack_matches_reference(sets, k, restarts, seed):
 @pytest.mark.parametrize("k", [1, 2, 6])
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_stacked_kmeans_matches_per_set_reference(d, k):
+    rng = np.random.default_rng([d, k])
+    sets = []
+    for spread in (0.1, 0.5, 1.0, 3.0):
+        blobs = rng.standard_normal((4, d)) * 3.0
+        sets.append(blobs[rng.integers(4, size=80)] + spread * rng.standard_normal((80, d)))
+    _assert_stack_matches_reference(sets, k, restarts=7, seed=d * 10 + k)
+
+
+def test_stacked_kmeans_matches_per_set_reference_in_eight_dimensions():
+    d, k = 8, 9
     rng = np.random.default_rng([d, k])
     sets = []
     for spread in (0.1, 0.5, 1.0, 3.0):
