@@ -78,10 +78,11 @@ def scatter_svg(points, labels, path, title: str = "") -> None:
         parts.append(f'<text x="{_W / 2:.1f}" y="24" font-family="sans-serif" '
                      f'font-size="15" text-anchor="middle">{title}</text>')
 
-    for xi, yi, li in zip(x, y, lab):
-        color = PALETTE[(li - 1) % len(PALETTE)]
-        parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="4" '
-                     f'fill="{color}" fill-opacity="0.75"/>')
+    # whole-array coordinates: the same operations, in the same order, as
+    # sx and sy apply to one point
+    circle = '<circle cx="%.2f" cy="%.2f" r="4" fill="%s" fill-opacity="0.75"/>'
+    colors = [PALETTE[(li - 1) % len(PALETTE)] for li in lab.tolist()]
+    parts.extend(circle % point for point in zip(sx(x).tolist(), sy(y).tolist(), colors))
 
     lx = _W - _MR + 16
     for row, li in enumerate(np.unique(lab)):

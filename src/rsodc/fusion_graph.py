@@ -9,15 +9,20 @@ algorithm only through the per-edge shrinkage thresholds in the V step.
 A graph does not depend on rho: build_quadratic binds a rho to a copy, so
 one graph serves fits at any rho without being written to.
 
-The graph exists only as its edge list. The kNN pairs come from
-KNN_BLOCK_ROWS rows of the distance matrix at a time, so building the graph
-takes O(n * KNN_BLOCK_ROWS) working memory beyond the O(m) edges. With G the
-n x m incidence matrix whose columns are the g_l, every product the solver
-needs is one of two O(m d) edge operations: the gather G^T Y (row
-differences y_i - y_j) and the scatter G T (row t_l added at i, subtracted
-at j). C Q = (rho/2) G G^T Q is a gather followed by a scatter. The dense C
-(dense_laplacian) is built only when the `C` attribute is read; no fit
-reads it, and fits with gamma = 0 build no graph at all.
+The graph exists only as its edge list. Building it holds working blocks
+of about KNN_BLOCK_ELEMENTS doubles beyond the O(m) edge arrays, whatever
+n is: the kNN pairs come from blocks of KNN_BLOCK_ELEMENTS // n rows of the
+distance matrix (at least 1, at most KNN_BLOCK_ROWS), and the weights from
+blocks of KNN_BLOCK_ELEMENTS // p edges. At n = 12 000, p = 20 and
+delta = 25, compute_weights peaks at 18 MB (tracemalloc), most of it the
+edge arrays and the Lanczos basis of lmax.
+
+With G the n x m incidence matrix whose columns are the g_l, every product
+the solver needs is one of two O(m d) edge operations: the gather G^T Y
+(row differences y_i - y_j) and the scatter G T (row t_l added at i,
+subtracted at j). C Q = (rho/2) G G^T Q is a gather followed by a scatter.
+The dense C (dense_laplacian) is built only when the `C` attribute is
+read; no fit reads it, and fits with gamma = 0 build no graph at all.
 """
 
 from __future__ import annotations
@@ -33,7 +38,14 @@ from .core import DEFAULT_DELTA, DEFAULT_TAU, check_matrix, top_eigenvalue_sym
 # majorization step defined as a vanishingly small shift toward Q.
 OMEGA_FLOOR = 1e-12
 
-# Rows of the distance matrix held at once while building the kNN indicator.
+# Float64 elements in one working block of the graph build: the kNN pairs
+# come from blocks of about KNN_BLOCK_ELEMENTS // n rows of the distance
+# matrix, and the weights from blocks of KNN_BLOCK_ELEMENTS // p edges.
+KNN_BLOCK_ELEMENTS = 2 ** 17
+
+# The most rows of the distance matrix held at once, whatever n is. Beside
+# the element budget it binds only for 256 < n <= 512; tests import it to
+# size inputs that span several blocks.
 KNN_BLOCK_ROWS = 256
 
 
@@ -134,9 +146,11 @@ def knn_indicator(X, delta: int) -> np.ndarray:
 
     Distances are Euclidean over rows. Ties are broken by smaller index.
     Requires 1 <= delta <= n - 1. Squared distances are formed
-    KNN_BLOCK_ROWS rows at a time, in two block buffers reused for every
-    block; each block contributes the keys min(i, j) * n + max(i, j) of its
-    neighbor pairs, and the sorted distinct keys give the union.
+    min(KNN_BLOCK_ROWS, KNN_BLOCK_ELEMENTS // n) rows at a time (at least
+    one), in two block buffers reused for every block; each block
+    contributes the keys min(i, j) * n + max(i, j) of its neighbor pairs,
+    and the sorted distinct keys give the union. The pairs come in Fortran
+    order, as FusionGraph stores them.
 
     Each row's delta + 1 nearest candidates come from one argpartition.
     Where the delta-th of them lies strictly below the (delta + 1)-th, the
@@ -150,11 +164,11 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     if not 1 <= delta <= n - 1:
         raise ValueError(f"delta must be in [1, n-1] = [1, {n - 1}], got {delta}")
     sq = np.sum(X * X, axis=1)
-    block = min(KNN_BLOCK_ROWS, n)
+    block = min(KNN_BLOCK_ROWS, max(1, KNN_BLOCK_ELEMENTS // n), n)
     prod_buf, d2_buf = np.empty((block, n)), np.empty((block, n))
     keys = []
-    for r0 in range(0, n, KNN_BLOCK_ROWS):
-        r1 = min(r0 + KNN_BLOCK_ROWS, n)
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
         # d2 = sq_i + sq_j - 2 x_i.x_j, each step written into the buffers
         prod, d2 = prod_buf[:r1 - r0], d2_buf[:r1 - r0]
         np.matmul(X[r0:r1], X.T, out=prod)
@@ -179,7 +193,10 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     # the distinct keys by a sort: np.unique took 25x as long on 10^5 keys
     keys = np.sort(np.concatenate(keys).astype(np.int64, copy=False))
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    return np.stack(np.divmod(keys, n), axis=1)
+    # Fortran order, as FusionGraph keeps it: each endpoint column contiguous
+    pairs = np.empty((len(keys), 2), dtype=np.int64, order="F")
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def _tied_neighbors(d2: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +224,20 @@ def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> 
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     edges = knn_indicator(X, delta)
-    # gathered C-ordered, not by edge_gather: np.sum over the rows of an
-    # F-ordered array adds their squares in another order, moving alpha in
-    # the last bit
-    diff = np.take(X, edges[:, 0], axis=0) - np.take(X, edges[:, 1], axis=0)
-    alpha = np.exp(-tau * np.sum(diff * diff, axis=1))
+    # the squared lengths in blocks of edges, each gathered C-ordered, not by
+    # edge_gather: np.sum over the rows of an F-ordered array adds their
+    # squares in another order, moving alpha in the last bit
+    sq_len = np.empty(len(edges))
+    step = max(1, KNN_BLOCK_ELEMENTS // X.shape[1])
+    for e0 in range(0, len(edges), step):
+        pairs = edges[e0:e0 + step]
+        diff = np.take(X, pairs[:, 0], axis=0) - np.take(X, pairs[:, 1], axis=0)
+        np.sum(np.multiply(diff, diff, out=diff), axis=1, out=sq_len[e0:e0 + step])
+    alpha = np.exp(np.multiply(sq_len, -tau, out=sq_len), out=sq_len)
     keep = alpha > 0.0
-    return FusionGraph(edges=edges[keep], alpha=alpha[keep], n=X.shape[0])
+    if not keep.all():  # copied only when a weight underflowed
+        edges, alpha = edges[keep], alpha[keep]
+    return FusionGraph(edges=edges, alpha=alpha, n=X.shape[0])
 
 
 def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:

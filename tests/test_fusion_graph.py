@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+import rsodc.fusion_graph as fusion_graph
 from rsodc.admm_scoring import init_state, inner_admm
-from rsodc.core import center_columns, thin_svd
+from rsodc.core import LANCZOS_STEPS, center_columns, thin_svd
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import (
     KNN_BLOCK_ROWS,
@@ -228,3 +229,60 @@ def test_graph_keeps_each_endpoint_column_contiguous():
     np.testing.assert_array_equal(graph.edges, knn_indicator(X, 5))
     bound = build_quadratic(graph, 0.1)
     assert bound.edges is graph.edges
+
+
+# -- the working-memory budget of the graph build ------------------------------
+
+def _grid_points(side: int = 20) -> np.ndarray:
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+    return grid[np.random.default_rng(4).permutation(side * side)].astype(float)
+
+
+def _random_draw() -> np.ndarray:
+    return np.random.default_rng(21).standard_normal((121, 5))
+
+
+@pytest.mark.parametrize("data, tau, delta", [(_random_draw, 0.1, 6),
+                                              (_grid_points, 0.1, 6),
+                                              (_grid_points, 0.05, 13),
+                                              # a weight of exp(-100 d2) underflows
+                                              # for the farther neighbors
+                                              (_grid_points, 100.0, 30)])
+def test_graph_build_is_bit_identical_at_any_block_size(data, tau, delta, monkeypatch):
+    X = data()
+    n, p = X.shape
+    assert n % 3 != 0
+    pairs, graph = knn_indicator(X, delta), compute_weights(X, tau, delta)
+    rows_and_edges = set()
+    for elements in (1, 3 * n, 7 * p, 7 * n + 2):
+        monkeypatch.setattr(fusion_graph, "KNN_BLOCK_ELEMENTS", elements)
+        rows_and_edges.add((max(1, elements // n), max(1, elements // p)))
+        np.testing.assert_array_equal(knn_indicator(X, delta), pairs)
+        blocked = compute_weights(X, tau, delta)
+        np.testing.assert_array_equal(blocked.edges, graph.edges)
+        assert blocked.alpha.tobytes() == graph.alpha.tobytes()
+        assert blocked.lmax == graph.lmax
+    # blocks of 1 and 3 rows (3 does not divide n), of 1 and 7 edges
+    rows, edges = zip(*rows_and_edges)
+    assert {1, 3} <= set(rows) and {1, 7} <= set(edges)
+    if tau == 100.0:
+        assert 0 < graph.m < len(pairs)
+
+
+def test_graph_build_peak_is_the_budget_plus_the_edge_arrays():
+    # beyond the O(n delta) edge arrays (neighbor keys, pairs, weights) and
+    # the Lanczos basis of lmax, the build holds three block-sized arrays:
+    # two distance buffers and their argpartition indices. A build that
+    # gathers both endpoints of every edge at once would add 2 m p doubles
+    # (39 MB here).
+    n, delta = 8000, 25
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
+    tracemalloc.start()
+    try:
+        graph = compute_weights(X, 0.1, delta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.m >= n * delta // 2
+    bound = 8 * (3 * fusion_graph.KNN_BLOCK_ELEMENTS + LANCZOS_STEPS * n + 6 * n * delta)
+    assert peak < bound

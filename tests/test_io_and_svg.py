@@ -17,7 +17,7 @@ from rsodc._io import (
     write_matrix_csv,
     write_rows_csv,
 )
-from rsodc._svg import scatter_svg
+from rsodc._svg import PALETTE, scatter_svg
 
 
 def test_matrix_csv_roundtrip_is_exact(tmp_path):
@@ -226,3 +226,27 @@ def test_read_matrix_csv_parses_like_the_csv_parser(tmp_path):
     header_only.write_text("a,b\n")
     with pytest.raises(InputError, match="no data rows"):
         read_matrix_csv(header_only)
+
+
+def test_scatter_svg_circles_match_the_per_point_formula(tmp_path):
+    # each circle as sx and sy place one point, formatted by its own f-string
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((300, 2)) * np.array([1e-3, 1e3])
+    labels = rng.integers(1, 13, 300)
+    path = tmp_path / "plot.svg"
+    scatter_svg(pts, labels, path)
+    lines = path.read_text().splitlines()
+    x, y = pts[:, 0], pts[:, 1]
+    bounds = []
+    for v in (x, y):
+        lo, hi = float(v.min()), float(v.max())
+        bounds.append((lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)))
+    (x0, x1), (y0, y1) = bounds
+    expect = []
+    for xi, yi, li in zip(x, y, labels):
+        cx = 64 + (xi - x0) / (x1 - x0) * (640 - 64 - 150)
+        cy = 480 - 52 - (yi - y0) / (y1 - y0) * (480 - 40 - 52)
+        color = PALETTE[(li - 1) % len(PALETTE)]
+        expect.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" '
+                      f'fill="{color}" fill-opacity="0.75"/>')
+    assert [line for line in lines if line.startswith("<circle")] == expect
