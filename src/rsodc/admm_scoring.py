@@ -116,22 +116,15 @@ def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
     bound to), all three edge sums are one scatter:
     D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho_C (q_i - q_j))^T),
     in O(m d). diffs, when given, are the edge differences of state.Q;
-    work, when given, an (m, d) array the edge sum is formed in.
+    work, when given, an (m, d) array the edge sum is formed in. Nothing
+    is checked here: inner_admm checks its inputs once, before its loop.
     """
-    W = check_matrix(W, "W")
-    n, d = W.shape
-    if state.Y.shape != (n, d):
-        raise ValueError(f"state Y is {state.Y.shape}, expected {(n, d)}")
-    if graph.rho is None:
-        raise ValueError("graph not bound to a rho; call build_quadratic first")
-    if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
-        raise ValueError("V/Lambda rows do not align with the graph edge list")
     if diffs is None:
         diffs = edge_differences(state.Q, graph)
     T = np.multiply(state.V, rho, out=work)
     T += state.Lambda
     T -= graph.rho * diffs
-    return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, n))
+    return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, graph.n))
 
 
 def _complete_orthonormal(avoid: np.ndarray, cand: np.ndarray, need: int) -> np.ndarray:
@@ -183,9 +176,8 @@ def update_Y(state: ScoringState, D) -> ScoringState:
     through the deficient right-singular directions, re-orthonormalized and
     kept orthogonal to the ones vector; a diagnostic warning is emitted.
     """
-    D = check_matrix(D, "D")
-    n, d = D.shape
     L, sigma, R = thin_svd(D)
+    d = R.shape[0]
     smax = sigma[0] if sigma.size else 0.0
     rank = int(np.sum(sigma > RANK_TOL * max(smax, np.finfo(float).tiny)))
     if rank == d:
@@ -315,9 +307,16 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     and the norms of V. When state.carry holds them for this state and
     graph, they are taken from it; otherwise they are computed.
     Either way the call writes its per-edge arrays in place and leaves them
-    in state.carry for the next call.
+    in state.carry for the next call. W, the state and the graph are
+    checked once, before the loop.
     """
     W = check_matrix(W, "W")
+    if state.Y.shape != W.shape:
+        raise ValueError(f"state Y is {state.Y.shape}, expected {W.shape}")
+    if graph.rho is None:
+        raise ValueError("graph not bound to a rho; call build_quadratic first")
+    if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
+        raise ValueError("V/Lambda rows do not align with the graph edge list")
     psi = _psi(graph, gamma, rho, v_mode)
     state.Q = state.Y
     carry = state.carry

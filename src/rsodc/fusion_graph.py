@@ -12,10 +12,10 @@ one graph serves fits at any rho without being written to.
 The graph exists only as its edge list. Building it holds working blocks
 of about KNN_BLOCK_ELEMENTS doubles beyond the O(m) edge arrays, whatever
 n is: the kNN pairs come from blocks of KNN_BLOCK_ELEMENTS // n rows of the
-distance matrix (at least 1, at most KNN_BLOCK_ROWS), and the weights from
-blocks of KNN_BLOCK_ELEMENTS // p edges. At n = 12 000, p = 20 and
-delta = 25, compute_weights peaks at 18 MB (tracemalloc), most of it the
-edge arrays and the Lanczos basis of lmax.
+distance matrix (at least 1, at most n), and the weights from blocks of
+KNN_BLOCK_ELEMENTS // p edges. At n = 12 000, p = 20 and delta = 25,
+compute_weights peaks at 18 MB (tracemalloc), most of it the edge arrays
+and the Lanczos basis of lmax.
 
 With G the n x m incidence matrix whose columns are the g_l, every product
 the solver needs is one of two O(m d) edge operations: the gather G^T Y
@@ -42,11 +42,6 @@ OMEGA_FLOOR = 1e-12
 # come from blocks of about KNN_BLOCK_ELEMENTS // n rows of the distance
 # matrix, and the weights from blocks of KNN_BLOCK_ELEMENTS // p edges.
 KNN_BLOCK_ELEMENTS = 2 ** 17
-
-# The most rows of the distance matrix held at once, whatever n is. Beside
-# the element budget it binds only for 256 < n <= 512; tests import it to
-# size inputs that span several blocks.
-KNN_BLOCK_ROWS = 256
 
 
 def edge_gather(Y: np.ndarray, edges: np.ndarray, out=None) -> np.ndarray:
@@ -146,11 +141,11 @@ def knn_indicator(X, delta: int) -> np.ndarray:
 
     Distances are Euclidean over rows. Ties are broken by smaller index.
     Requires 1 <= delta <= n - 1. Squared distances are formed
-    min(KNN_BLOCK_ROWS, KNN_BLOCK_ELEMENTS // n) rows at a time (at least
-    one), in two block buffers reused for every block; each block
-    contributes the keys min(i, j) * n + max(i, j) of its neighbor pairs,
-    and the sorted distinct keys give the union. The pairs come in Fortran
-    order, as FusionGraph stores them.
+    KNN_BLOCK_ELEMENTS // n rows at a time (at least one, at most n), in
+    two block buffers reused for every block; each block contributes the
+    keys min(i, j) * n + max(i, j) of its neighbor pairs, and the sorted
+    distinct keys give the union. The pairs come in Fortran order, as
+    FusionGraph stores them.
 
     Each row's delta + 1 nearest candidates come from one argpartition.
     Where the delta-th of them lies strictly below the (delta + 1)-th, the
@@ -164,7 +159,7 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     if not 1 <= delta <= n - 1:
         raise ValueError(f"delta must be in [1, n-1] = [1, {n - 1}], got {delta}")
     sq = np.sum(X * X, axis=1)
-    block = min(KNN_BLOCK_ROWS, max(1, KNN_BLOCK_ELEMENTS // n), n)
+    block = min(max(1, KNN_BLOCK_ELEMENTS // n), n)
     prod_buf, d2_buf = np.empty((block, n)), np.empty((block, n))
     keys = []
     for r0 in range(0, n, block):

@@ -23,7 +23,6 @@ its design with twice its eta2, and K is then the loss as a function of B.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,26 +135,8 @@ def subproblem_objective(B, design: StackedDesign, eta1: float) -> float:
     return _gram_objective(B, design.G @ B, design, eta1)
 
 
-def clamp_step(design: StackedDesign, nu: float) -> float:
-    """Clamp nu to 1/max_j sigma_max(Z_j)^2 = 1/max_j (||Xc[:,j]||^2 + eta2).
-
-    A warning is emitted when the requested step is unsafe.
-    """
-    lip = float(np.max(design.col_norms_sq) + design.eta2)
-    if lip <= 0.0:
-        return nu
-    bound = 1.0 / lip
-    if nu > bound:
-        warnings.warn(
-            f"step size nu = {nu:.3g} exceeds the safe bound {bound:.3g}; clamping",
-            RuntimeWarning,
-        )
-        return bound
-    return nu
-
-
-def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
-            epsilon: float = 1e-6, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, int]:
+def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
+            max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, int]:
     """Exact group block coordinate descent on the Gram form of the subproblem.
 
     Each sweep visits the groups in order and sets beta_j to its exact
@@ -167,8 +148,7 @@ def solve_B(B, design: StackedDesign, eta1: float, nu: float | None = None,
     group; a group whose norm falls below ZERO_TOL snaps to zero, and a group
     with G_jj + eta2 = 0 stays zero. Sweeps stop when one lowers the
     subproblem objective by less than epsilon, or after max_sweeps. A sweep
-    costs O(p^2 d) whatever n is. nu is accepted and ignored: the exact
-    update needs no step size.
+    costs O(p^2 d) whatever n is; the exact update needs no step size.
 
     Returns the updated B and the number of sweeps taken.
     """

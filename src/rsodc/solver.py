@@ -270,46 +270,18 @@ def fit_sodc(instance: ProblemInstance, seed=0) -> FitResult:
     return _alternate(dataclasses.replace(instance, gamma=0.0), None, seed, "sodc")
 
 
-def _weighted_draw(p: np.ndarray, rng) -> int:
-    """What rng.choice(p.size, p=p) computes after its input checks: the same
-    index from the same draw of the stream."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-def _kmeans_pp(P: np.ndarray, k: int, rng) -> np.ndarray:
-    """One restart's k-means++ centres, k x d: the draw order that
-    _seed_restarts reproduces for many restarts at once."""
-    n = P.shape[0]
-    centers = np.empty((k, P.shape[1]))
-    idx = int(rng.integers(n))
-    centers[0] = P[idx]
-    dist = np.sum((P - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = dist.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = _weighted_draw(dist / total, rng)
-        centers[c] = P[idx]
-        dist = np.minimum(dist, np.sum((P - centers[c]) ** 2, axis=1))
-    return centers
-
-
 def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
-    """k-means++ centres for every restart of every set, (S R) x k x d, the
-    same centres and generator states as _kmeans_pp run restart by restart.
+    """k-means++ centres for every restart of every set, (S R) x k x d.
 
     Each restart's draws are taken up front, in restart order, as one
-    integers(n) and one random(k - 1) call: the stream _kmeans_pp reads.
-    Then every restart seeds at once, each draw an index from its weights'
-    cdf as _weighted_draw computes it. A set where some restart runs out of
-    weight before its last centre would have drawn integers(n) there
-    instead; that set rewinds its generator and seeds with _kmeans_pp.
+    integers(n) and one random(k - 1) call, whatever the data. Then every
+    restart seeds at once: each later centre is the index its uniform draw
+    picks from the cdf of the squared distances to the nearest chosen
+    centre, the search Generator.choice makes with those weights. A restart
+    with no weight left (a set with fewer distinct points than k) picks its
+    remaining centres with uniform weights from the same draws.
     """
     S, n, d = P.shape
-    states = [rng.bit_generator.state for rng in rngs]
     first = np.empty((S, restarts), dtype=np.intp)
     u = np.empty((S, restarts, k - 1))
     for s, rng in enumerate(rngs):
@@ -338,23 +310,18 @@ def _seed_restarts(P: np.ndarray, k: int, restarts: int, rngs) -> np.ndarray:
     dist = sq_dist(first, np.empty((S, restarts, n)))
     # each draw's cdf, then the new centre's distances
     nearer = np.empty((S, restarts, n))
-    redo = np.zeros(S, dtype=bool)
     for c in range(1, k):
         total = dist.sum(axis=1)
         empty = total <= 0.0
-        if empty.any():
-            redo[np.flatnonzero(empty) // restarts] = True
-            # placeholder weights for rows whose set is reseeded below
-            dist[empty], total[empty] = 1.0, n
+        # uniform weights for the draw, then the true distances, all zero
+        dist[empty], total[empty] = 1.0, n
         cdf = np.divide(dist, total[:, None], out=nearer.reshape(S * restarts, n))
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
         idx = np.count_nonzero(cdf <= u[:, c - 1, None], axis=1).reshape(S, restarts)
         centers[:, :, c] = P[sets, idx]
+        dist[empty] = 0.0
         np.minimum(dist, sq_dist(idx, nearer), out=dist)
-    for s in np.flatnonzero(redo):
-        rngs[s].bit_generator.state = states[s]
-        centers[s] = [_kmeans_pp(P[s], k, rngs[s]) for _ in range(restarts)]
     return centers.reshape(S * restarts, k, d)
 
 
@@ -434,12 +401,12 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
 
     points is one n x d set with one seed, or a stack of S sets, S x n x d,
     with a sequence of S seeds. Each set takes its restarts' k-means++
-    draws from its own generator, in restart order, and every restart of
-    every set is seeded in one vectorised pass (_seed_restarts): the same
-    centres and generator states as seeding restart by restart. Then every
-    restart of every set runs through one Lloyd loop over an (S R) x k x n
-    distance array, each on its own set's points, and leaves the loop once
-    its labels stop changing or after max_iter (at least 1) passes. Empty
+    draws from its own generator, in restart order, one integers(n) and one
+    random(k - 1) call per restart, and every restart of every set is
+    seeded in one vectorised pass (_seed_restarts). Then every restart of
+    every set runs through one Lloyd loop over an (S R) x k x n distance
+    array, each on its own set's points, and leaves the loop once its
+    labels stop changing or after max_iter (at least 1) passes. Empty
     clusters are repaired by promoting the point farthest from its center.
     Each set keeps its best restart by inertia, ties going to the first.
     Returns 1-based labels and a CentroidSet: n labels, k x d centres and

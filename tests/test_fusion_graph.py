@@ -11,7 +11,6 @@ from rsodc.admm_scoring import init_state, inner_admm
 from rsodc.core import LANCZOS_STEPS, center_columns, thin_svd
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import (
-    KNN_BLOCK_ROWS,
     OMEGA_FLOOR,
     FusionGraph,
     build_fusion_graph,
@@ -136,25 +135,29 @@ def _dense_knn_reference(X, delta: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("delta", [1, 3, 6, 10, 20 * 20 - 1])
-def test_knn_indicator_keeps_the_tie_rule_across_row_blocks(delta):
+def test_knn_indicator_keeps_the_tie_rule_across_row_blocks(delta, monkeypatch):
     # integer grid points: distances are exact and tie in large groups
-    side = 20
+    side, rows = 20, 256
     grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
     X = grid[np.random.default_rng(4).permutation(side * side)].astype(float)
-    assert X.shape[0] > KNN_BLOCK_ROWS
+    assert X.shape[0] > rows
+    monkeypatch.setattr(fusion_graph, "KNN_BLOCK_ELEMENTS", rows * X.shape[0])
     np.testing.assert_array_equal(knn_indicator(X, delta),
                                   np.argwhere(np.triu(_dense_knn_reference(X, delta))))
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
 @pytest.mark.parametrize("delta", [1, 3])
-def test_knn_indicator_breaks_a_tie_at_the_cut_across_a_block_boundary(delta, shuffle):
+def test_knn_indicator_breaks_a_tie_at_the_cut_across_a_block_boundary(delta, shuffle,
+                                                                       monkeypatch):
     # points on a line: each inner point's delta-th and (delta + 1)-th
     # nearest lie at one distance, one on either side, so its row takes the
     # tie path; the two end rows do not. In index order the rows around
-    # KNN_BLOCK_ROWS tie with neighbors in the other block; shuffled, ties
-    # span every pair of blocks.
-    n = KNN_BLOCK_ROWS + 40
+    # the block boundary at row 256 tie with neighbors in the other block;
+    # shuffled, ties span every pair of blocks.
+    rows = 256
+    n = rows + 40
+    monkeypatch.setattr(fusion_graph, "KNN_BLOCK_ELEMENTS", rows * n)
     X = _line_points(n)
     if shuffle:
         X = X[np.random.default_rng(5).permutation(n)]
@@ -162,10 +165,11 @@ def test_knn_indicator_breaks_a_tie_at_the_cut_across_a_block_boundary(delta, sh
                                   np.argwhere(np.triu(_dense_knn_reference(X, delta))))
 
 
-def test_knn_working_memory_grows_linearly_in_n():
-    # a few KNN_BLOCK_ROWS x n float blocks at a time; an n x n bool alone
-    # would be 144 MB here
-    n = 12000
+def test_knn_working_memory_grows_linearly_in_n(monkeypatch):
+    # a few 256 x n float blocks at a time; an n x n bool alone would be
+    # 144 MB here
+    n, rows = 12000, 256
+    monkeypatch.setattr(fusion_graph, "KNN_BLOCK_ELEMENTS", rows * n)
     X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
     tracemalloc.start()
     try:
@@ -174,7 +178,7 @@ def test_knn_working_memory_grows_linearly_in_n():
     finally:
         tracemalloc.stop()
     assert graph.m >= n * 25 // 2
-    assert peak < 6 * 8 * KNN_BLOCK_ROWS * n
+    assert peak < 6 * 8 * rows * n
 
 
 # -- the edge operator ---------------------------------------------------------

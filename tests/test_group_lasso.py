@@ -8,7 +8,6 @@ from rsodc.group_lasso import (
     StackedDesign,
     _gram_objective,
     build_stacked,
-    clamp_step,
     group_soft_threshold,
     row_soft_threshold,
     solve_B,
@@ -49,11 +48,14 @@ def apply(design: StackedDesign, B) -> np.ndarray:
 
 def update_B(B, design: StackedDesign, eta1: float, nu: float,
              sweeps: int = 1) -> np.ndarray:
-    """Reference proximal-gradient sweeps at the clamped step nu: for each
-    group in turn, beta_j <- S(beta_j + nu (Xc[:, j]^T R - eta2 beta_j), nu eta1)
+    """Reference proximal-gradient sweeps at step nu, capped at the safe
+    1/max_j (||Xc[:, j]||^2 + eta2): for each group in turn,
+    beta_j <- S(beta_j + nu (Xc[:, j]^T R - eta2 beta_j), nu eta1)
     on the residual R = Y - Xc B kept up to date."""
     B = np.array(B, dtype=float, copy=True)
-    nu = clamp_step(design, nu)
+    lip = float(np.max(design.col_norms_sq) + design.eta2)
+    if lip > 0.0:
+        nu = min(nu, 1.0 / lip)
     R = design.Y - design.Xc @ B
     for _ in range(int(sweeps)):
         for j in range(design.p):
@@ -97,25 +99,15 @@ def test_stacked_design_blocks_match_dense_form():
     assert subproblem_objective(B, design, 1.5) == pytest.approx(expect, rel=1e-12)
 
 
-def test_clamp_step_warns_and_bounds():
-    rng = np.random.default_rng(1)
-    design = _random_design(rng, eta2=0.2)
-    bound = 1.0 / (np.max(design.col_norms_sq) + 0.2)
-    with pytest.warns(RuntimeWarning):
-        assert clamp_step(design, 10.0) == pytest.approx(bound)
-    assert clamp_step(design, bound / 2) == pytest.approx(bound / 2)
-
-
 def test_update_B_is_monotone_per_sweep():
     rng = np.random.default_rng(2)
     for _ in range(5):
         design = _random_design(rng, n=10, p=5, d=2, eta2=float(rng.uniform(0, 0.5)))
         eta1 = float(rng.uniform(0.1, 2.0))
-        nu = clamp_step(design, 0.001)
         B = rng.standard_normal((5, 2))
         prev = subproblem_objective(B, design, eta1)
         for _ in range(20):
-            B = update_B(B, design, eta1, nu, sweeps=1)
+            B = update_B(B, design, eta1, 0.001, sweeps=1)
             cur = subproblem_objective(B, design, eta1)
             assert cur <= prev + 1e-10
             prev = cur
@@ -124,11 +116,10 @@ def test_update_B_is_monotone_per_sweep():
 def test_solve_B_reaches_a_fixed_point_of_the_prox_step():
     rng = np.random.default_rng(3)
     design = _random_design(rng, n=12, p=4, d=2)
-    nu = clamp_step(design, 0.01)
-    B, sweeps = solve_B(rng.standard_normal((4, 2)), design, 1.0, nu,
+    B, sweeps = solve_B(rng.standard_normal((4, 2)), design, 1.0,
                         epsilon=1e-12, max_sweeps=5000)
     # at a fixed point one more sweep moves nothing
-    B2 = update_B(B, design, 1.0, nu, sweeps=1)
+    B2 = update_B(B, design, 1.0, 0.01, sweeps=1)
     np.testing.assert_allclose(B2, B, atol=1e-6)
     assert sweeps >= 1
 
@@ -136,8 +127,7 @@ def test_solve_B_reaches_a_fixed_point_of_the_prox_step():
 def test_large_eta1_zeroes_everything():
     rng = np.random.default_rng(4)
     design = _random_design(rng)
-    nu = clamp_step(design, 0.001)
-    B, _ = solve_B(rng.standard_normal((4, 2)), design, 1e6, nu)
+    B, _ = solve_B(rng.standard_normal((4, 2)), design, 1e6)
     np.testing.assert_array_equal(B, np.zeros((4, 2)))
     assert not (np.abs(B) > ZERO_TOL).any()
 
@@ -167,8 +157,7 @@ def test_solve_B_sweep_is_the_exact_group_minimiser():
         norms = np.sum(Xc * Xc, axis=0)
         expect = np.array([group_soft_threshold(H[j], 0.8) / (norms[j] + eta2)
                            if norms[j] + eta2 > 0 else np.zeros(2) for j in range(4)])
-        B, sweeps = solve_B(rng.standard_normal((4, 2)), design, 0.8, 0.001,
-                            epsilon=1e-12)
+        B, sweeps = solve_B(rng.standard_normal((4, 2)), design, 0.8, epsilon=1e-12)
         np.testing.assert_allclose(B, expect, atol=1e-12)
         assert sweeps == 2
         # a zero column with no ridge stays exactly zero

@@ -263,10 +263,9 @@ def _reference_kmeans_pp(P, k, rng):
     dist = np.sum((P - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         total = dist.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=dist / total))
+        # with no weight left, every point is as likely
+        p = dist / total if total > 0.0 else np.full(n, 1.0 / n)
+        idx = int(rng.choice(n, p=p))
         centers[c] = P[idx]
         dist = np.minimum(dist, np.sum((P - centers[c]) ** 2, axis=1))
     return centers
@@ -402,23 +401,6 @@ def test_batched_kmeans_matches_per_restart_reference_in_eight_dimensions(restar
     _assert_matches_reference(P, k, restarts, seed=d * 100 + k * 10 + restarts)
 
 
-def test_weighted_draw_matches_generator_choice():
-    weights_rng = np.random.default_rng(11)
-    for n in range(2, 301):
-        for trial in range(3):
-            w = weights_rng.random(n)
-            # runs of zeros, as at points that coincide with a chosen centre
-            w[weights_rng.random(n) < 0.3] = 0.0
-            start = int(weights_rng.integers(n))
-            w[start:start + int(weights_rng.integers(n))] = 0.0
-            w[int(weights_rng.integers(n))] += 0.5
-            p = w / w.sum()
-            rng_new = np.random.default_rng([n, trial])
-            rng_ref = np.random.default_rng([n, trial])
-            assert solver._weighted_draw(p, rng_new) == int(rng_ref.choice(n, p=p))
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-
-
 def _assert_stack_matches_reference(sets, k, restarts, seed):
     """A stacked call equals the per-restart reference run on each set alone."""
     seeds = [seed * 100 + s for s in range(len(sets))]
@@ -481,17 +463,7 @@ def test_stacked_kmeans_matches_reference_through_empty_cluster_repair(monkeypat
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_kmeans_seeds_every_restart_in_one_pass(monkeypatch, k):
-    # _kmeans_pp, the serial seeding, runs only for a set where a restart
-    # runs out of weight; every other set takes the batched pass
-    calls = []
-    real_kmeans_pp = solver._kmeans_pp
-
-    def counted(P, k, rng):
-        calls.append(P.copy())
-        return real_kmeans_pp(P, k, rng)
-
-    monkeypatch.setattr(solver, "_kmeans_pp", counted)
+def test_kmeans_seeds_every_restart_in_one_pass(k):
     rng = np.random.default_rng(12)
     spread = [rng.standard_normal((25, 3)) for _ in range(3)]
     duplicated = np.repeat(rng.standard_normal((1, 3)), 25, axis=0)
@@ -499,7 +471,6 @@ def test_kmeans_seeds_every_restart_in_one_pass(monkeypatch, k):
 
     _assert_stack_matches_reference(spread, k, restarts, seed=2)
     _assert_matches_reference(spread[0], k, restarts, seed=3)
-    assert calls == []
 
     # a generator already advanced before the call, as a fit passes its own
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -509,9 +480,6 @@ def test_kmeans_seeds_every_restart_in_one_pass(monkeypatch, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         labels, centroids = kmeans(np.stack(sets), k, restarts=restarts, seed=seeds)
-    # k = 1 draws no weighted centre, so no restart runs out of weight
-    assert len(calls) == (restarts if k > 1 else 0)
-    assert all(np.array_equal(P, duplicated) for P in calls)
     for s, P in enumerate(sets):
         ref_rng = rng_ref if s == 1 else np.random.default_rng(seeds[s])
         ref_labels, ref_centers, ref_inertia = _reference_kmeans(P, k, restarts, ref_rng)
@@ -519,6 +487,21 @@ def test_kmeans_seeds_every_restart_in_one_pass(monkeypatch, k):
         np.testing.assert_array_equal(centroids.M[s], ref_centers)
         assert centroids.inertia[s] == ref_inertia
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_kmeans_reads_the_same_draws_whatever_the_data(k):
+    # one integers(n) and one random(k - 1) per restart, also where a
+    # restart runs out of weight: fewer distinct points than k
+    rng = np.random.default_rng(13)
+    continuous = rng.standard_normal((30, 2))
+    few = np.repeat(rng.standard_normal((k - 1, 2)), 30 // (k - 1) + 1, axis=0)[:30]
+    states = []
+    for P in (continuous, few):
+        gen = np.random.default_rng(4)
+        kmeans(P, k, restarts=5, seed=gen)
+        states.append(gen.bit_generator.state)
+    assert states[0] == states[1]
 
 
 def test_stacked_kmeans_validates_its_input():
