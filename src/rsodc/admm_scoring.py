@@ -1,6 +1,8 @@
 """Inner ADMM for the scoring matrix: alternates a majorize-minimize Y step
 (reduced to an orthogonal Procrustes solve), a per-edge proximal V step, and
-the dual Lambda step, under Y^T Y = I and Y^T 1 = 0.
+the dual Lambda step, under Y^T Y = I and Y^T 1 = 0. rho is read from the
+graph, where it also sets C and omega (build_quadratic binds it); only
+update_V, which never touches C, takes it as an argument.
 
 The quadratic fusion coupling tr(Y^T C Y) is linearized around the previous
 iterate Q by the bound
@@ -31,7 +33,7 @@ A call writes its differences, residual, V norms and per-edge temporaries
 in place into arrays of its own; the first three stay with the state when
 it returns (ScoringState.carry). The next call starts from them instead of
 a gather and a full Lagrangian, as long as the state still holds the Y and
-V they were computed at and the call runs on the same graph.
+V they were computed at and the call runs on the same edges, at any rho.
 """
 
 from __future__ import annotations
@@ -49,20 +51,20 @@ from .group_lasso import row_soft_threshold
 @dataclass
 class Carry:
     """What an inner_admm call leaves for the next: the Y and V it ended
-    at, the graph it ran on, and its per-edge arrays, namely the edge
+    at, the edge array it ran on, and its per-edge arrays, namely the edge
     differences of Y, the residual V - G^T Y and the row norms of V. None
     of them depends on Lambda, gamma or rho."""
 
     Y: np.ndarray
     V: np.ndarray
-    graph: FusionGraph
+    edges: np.ndarray
     diffs: np.ndarray
     resid: np.ndarray
     v_norms: np.ndarray
 
     def holds(self, state: "ScoringState", graph: FusionGraph) -> bool:
-        """Whether the arrays still describe state on this graph."""
-        return self.Y is state.Y and self.V is state.V and self.graph is graph
+        """Whether the arrays still describe state on this graph's edges."""
+        return self.Y is state.Y and self.V is state.V and self.edges is graph.edges
 
 
 @dataclass
@@ -88,8 +90,6 @@ class ScoringState:
     inner_objective: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    max_orth_violation: float = 0.0
-    max_center_violation: float = 0.0
     degenerate_updates: int = 0
     carry: Carry | None = field(default=None, repr=False)
 
@@ -108,20 +108,20 @@ def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
     return edge_gather(Y, graph.edges)
 
 
-def assemble_D(W, state: ScoringState, graph: FusionGraph, rho: float,
+def assemble_D(W, state: ScoringState, graph: FusionGraph,
                diffs=None, work=None) -> np.ndarray:
     """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
 
-    With 2 C Q = rho_C sum_l g_l (q_i - q_j)^T (rho_C the rho the graph is
-    bound to), all three edge sums are one scatter:
-    D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho_C (q_i - q_j))^T),
+    With 2 C Q = rho sum_l g_l (q_i - q_j)^T (rho the graph's), all three
+    edge sums are one scatter:
+    D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho (q_i - q_j))^T),
     in O(m d). diffs, when given, are the edge differences of state.Q;
     work, when given, an (m, d) array the edge sum is formed in. Nothing
     is checked here: inner_admm checks its inputs once, before its loop.
     """
     if diffs is None:
         diffs = edge_differences(state.Q, graph)
-    T = np.multiply(state.V, rho, out=work)
+    T = np.multiply(state.V, graph.rho, out=work)
     T += state.Lambda
     T -= graph.rho * diffs
     return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, graph.n))
@@ -178,8 +178,7 @@ def update_Y(state: ScoringState, D) -> ScoringState:
     """
     L, sigma, R = thin_svd(D)
     d = R.shape[0]
-    smax = sigma[0] if sigma.size else 0.0
-    rank = int(np.sum(sigma > RANK_TOL * max(smax, np.finfo(float).tiny)))
+    rank = int(np.sum(sigma > RANK_TOL * max(sigma[0], np.finfo(float).tiny)))
     if rank == d:
         Y = L @ R.T
     else:
@@ -195,10 +194,6 @@ def update_Y(state: ScoringState, D) -> ScoringState:
         Y = np.hstack([Lg, E]) @ R.T
     state.Y = Y
     state.Q = Y
-    orth = float(np.max(np.abs(Y.T @ Y - np.eye(d))))
-    cent = float(np.max(np.abs(Y.sum(axis=0))))
-    state.max_orth_violation = max(state.max_orth_violation, orth)
-    state.max_center_violation = max(state.max_center_violation, cent)
     return state
 
 
@@ -259,25 +254,26 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     return state
 
 
-def update_Lambda(state: ScoringState, graph: FusionGraph, rho: float,
+def update_Lambda(state: ScoringState, graph: FusionGraph,
                   resid=None, work=None) -> ScoringState:
-    """lambda_l <- lambda_l + rho (v_l - y_i + y_j).
+    """lambda_l <- lambda_l + rho (v_l - y_i + y_j), rho the graph's.
 
     resid, when given, is state.V minus the edge differences of state.Y;
     work, when given, an (m, d) array the step rho * resid is formed in.
     """
     if resid is None:
         resid = state.V - edge_differences(state.Y, graph)
-    state.Lambda = state.Lambda + np.multiply(resid, rho, out=work)
+    state.Lambda = state.Lambda + np.multiply(resid, graph.rho, out=work)
     return state
 
 
 def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
-                         gamma: float, rho: float, resid=None, v_norms=None) -> float:
+                         gamma: float, resid=None, v_norms=None) -> float:
     """Value of the scoring subproblem's augmented Lagrangian.
 
     1/2 ||Y - W||_F^2 + gamma sum_l alpha_l ||v_l||
-    + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2.
+    + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2,
+    rho the graph's.
     resid, when given, is state.V minus the edge differences of state.Y;
     v_norms, when given, the row norms of state.V. The two residual sums
     are dot products over the flattened arrays.
@@ -291,21 +287,22 @@ def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
     r = resid.ravel(order="F")
     val += gamma * float(graph.alpha @ v_norms)
     val += float(state.Lambda.ravel(order="F") @ r)
-    val += 0.5 * rho * float(r @ r)
+    val += 0.5 * graph.rho * float(r @ r)
     return val
 
 
 def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
-               rho: float, epsilon: float = 1e-6, max_inner: int = 1000,
+               epsilon: float = 1e-6, max_inner: int = 1000,
                v_mode: str = "exact") -> ScoringState:
     """Iterate Y, V, Lambda until the Lagrangian decrease falls below epsilon.
 
-    The loop keeps going while L(t) - L(t+1) >= epsilon, so an increase also
-    stops it. Hitting max_inner leaves converged False and emits a warning.
+    rho is the graph's. The loop keeps going while L(t) - L(t+1) >= epsilon,
+    so an increase also stops it; hitting max_inner leaves converged False
+    and emits a warning.
 
     The starting Lagrangian needs the edge differences of Y, the residual
-    and the norms of V. When state.carry holds them for this state and
-    graph, they are taken from it; otherwise they are computed.
+    and the norms of V. When state.carry holds them for this state and the
+    graph's edges, at any rho, they are taken from it; otherwise computed.
     Either way the call writes its per-edge arrays in place and leaves them
     in state.carry for the next call. W, the state and the graph are
     checked once, before the loop.
@@ -317,7 +314,7 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         raise ValueError("graph not bound to a rho; call build_quadratic first")
     if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
         raise ValueError("V/Lambda rows do not align with the graph edge list")
-    psi = _psi(graph, gamma, rho, v_mode)
+    psi = _psi(graph, gamma, graph.rho, v_mode)
     state.Q = state.Y
     carry = state.carry
     if carry is not None and carry.holds(state, graph):
@@ -326,28 +323,27 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         diffs = edge_differences(state.Y, graph)
         resid = np.subtract(state.V, diffs, order="F")
         v_norms = row_norms(state.V)
-    L_prev = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid, v_norms=v_norms)
+    L_prev = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
     work = np.empty_like(diffs)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
     for _ in range(int(max_inner)):
-        D = assemble_D(W, state, graph, rho, diffs=diffs, work=work)
+        D = assemble_D(W, state, graph, diffs=diffs, work=work)
         update_Y(state, D)
         edge_gather(state.Y, graph.edges, out=diffs)
-        update_V(state, graph, gamma, rho, mode=v_mode, diffs=diffs, psi=psi,
+        update_V(state, graph, gamma, graph.rho, mode=v_mode, diffs=diffs, psi=psi,
                  norms_out=v_norms, work=work)
         np.subtract(state.V, diffs, out=resid)
-        update_Lambda(state, graph, rho, resid=resid, work=work)
-        L_new = augmented_lagrangian(W, state, graph, gamma, rho, resid=resid,
-                                     v_norms=v_norms)
+        update_Lambda(state, graph, resid=resid, work=work)
+        L_new = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
         state.inner_objective.append(L_new)
         state.iterations += 1
         if L_prev - L_new < epsilon:
             state.converged = True
             break
         L_prev = L_new
-    state.carry = Carry(state.Y, state.V, graph, diffs, resid, v_norms)
+    state.carry = Carry(state.Y, state.V, graph.edges, diffs, resid, v_norms)
     if not state.converged:
         warnings.warn(
             f"scoring ADMM did not converge within {max_inner} iterations",

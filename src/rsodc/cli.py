@@ -18,11 +18,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable
 
+import jsonschema
 import numpy as np
 
 from . import __version__, model_selection
 from ._io import (
     InputError,
+    _labels,
     jsonable,
     read_labels_csv,
     read_matrix_csv,
@@ -90,10 +92,10 @@ def _manifest(args, inputs, outputs, timings, threads=1) -> dict:
 
 @contextmanager
 def _input_errors():
-    """Report a ValueError raised in the block as bad input (exit 2)."""
+    """Report a ValueError or ValidationError as bad input (exit 2)."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, jsonschema.ValidationError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -471,7 +473,8 @@ def cmd_evaluate(args) -> int:
     for key in ("labels", "embedding", "y_hat", "b_hat", "k"):
         if key not in fit:
             raise InputError(f"{args.fit} lacks key {key!r}")
-    labels = np.asarray(fit["labels"], dtype=int)
+    with _input_errors():  # the rule write_json applies to a fit's labels
+        labels = _labels(f"{args.fit}: labels", fit["labels"]).astype(int)
     truth = read_labels_csv(args.truth, header=not args.no_header)
     if truth.shape[0] != labels.shape[0]:
         raise InputError(f"truth has {truth.shape[0]} rows, fit has "

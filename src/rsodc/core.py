@@ -194,11 +194,11 @@ class ProblemInstance:
                 "the embedding dimension is not representable"
             )
         for name in ("eta1", "eta2", "gamma", "tau"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("rho", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("max_outer", "max_inner", "delta"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

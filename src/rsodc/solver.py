@@ -82,15 +82,15 @@ def _objective_terms(W, B, Y, fusion: float, instance: ProblemInstance) -> float
 
 
 def _fit_graph(instance: ProblemInstance, graph):
-    """The fusion graph a fused fit on instance reads: graph, or one built
-    from the instance's tau and delta when None. delta is capped at n - 1
-    either way, warning once; a graph with another n raises ValueError."""
+    """The graph a fused fit on instance reads, bound to instance.rho: a copy
+    of graph, or one built from tau and delta when graph is None. delta is
+    capped at n - 1 either way, warning once; another n raises ValueError."""
     delta = cap_delta(instance.delta, instance.n)
     if graph is None:
         return build_fusion_graph(instance.data, instance.tau, delta, instance.rho)
     if graph.n != instance.n:
         raise ValueError(f"fusion graph is on {graph.n} rows, the data has {instance.n}")
-    return graph
+    return build_quadratic(graph, instance.rho)
 
 
 def objective(instance: ProblemInstance, B, Y, graph=None) -> float:
@@ -120,9 +120,9 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop; method only labels the result.
 
-    With gamma > 0 the Y step is the inner ADMM on a copy of _fit_graph's
-    graph bound to instance.rho. With gamma = 0 it is one Procrustes solve,
-    and graph is not read.
+    With gamma > 0 the Y step is the inner ADMM on _fit_graph's graph,
+    bound to instance.rho. With gamma = 0 it is one Procrustes solve, and
+    graph is not read.
     """
     t_start = time.perf_counter()
     timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
@@ -141,11 +141,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     Y0 = _singular_vectors(Xc)[0][:, :d]
 
     if fused:
-        graph = build_quadratic(graph, instance.rho)
         state = init_state(Y0, graph)
-        graph_diagnostics = {"omega": graph.omega, "edges": graph.m}
     else:
-        graph_diagnostics = {"edges": 0}
         Y0 = Y0.copy()
         state = ScoringState(Y=Y0, V=np.zeros((0, d)), Lambda=np.zeros((0, d)), Q=Y0)
 
@@ -157,6 +154,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     inner_iterations: list = []
     b_sweeps: list = []
     status = "max_outer"
+    orth = center = 0.0
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
         # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
@@ -178,14 +176,15 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         # accepted array is the rollback snapshot: after one only Y is read
         prev = state.Y
         if fused:
-            inner_admm(W, state, graph, instance.gamma, instance.rho,
-                       epsilon=instance.epsilon, max_inner=instance.max_inner,
-                       v_mode=instance.v_mode)
+            inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
+                       max_inner=instance.max_inner, v_mode=instance.v_mode)
             inner_iterations.append(state.iterations)
         else:
             update_Y(state, W)
             inner_iterations.append(1)
         timings["y_step"] += time.perf_counter() - t0
+        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
+        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
         # a fused call leaves the edge differences of the Y it ends at
         fusion_y = _fusion_term(state.Y, graph, instance.gamma,
                                 state.carry.diffs if fused else None)
@@ -224,13 +223,13 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         timings=timings,
         inner_iterations=inner_iterations,
         diagnostics={
-            "max_orth_violation": state.max_orth_violation,
-            "max_center_violation": state.max_center_violation,
+            "max_orth_violation": orth,
+            "max_center_violation": center,
             "degenerate_updates": state.degenerate_updates,
             "convergence_count": len(trace) - 1 + sum(inner_iterations),
             "b_sweeps": b_sweeps,
             "kmeans_inertia": centroids.inertia,
-            **graph_diagnostics,
+            **({"omega": graph.omega, "edges": graph.m} if fused else {"edges": 0}),
         },
     )
 

@@ -56,7 +56,7 @@ def test_assemble_D_matches_dense_formula_and_zero_column_sums():
     W = rng.standard_normal((n, d))
     W -= W.mean(axis=0, keepdims=True)
     rho = graph.rho
-    D = assemble_D(W, state, graph, rho)
+    D = assemble_D(W, state, graph)
 
     expect = W.copy()
     for l, (i, j) in enumerate(graph.edges):
@@ -85,7 +85,7 @@ def test_majorizer_bounds_trace_with_equality_at_Q():
             at_q, abs=1e-10)
 
 
-def test_update_Y_solves_procrustes_and_tracks_violations():
+def test_update_Y_solves_procrustes():
     rng = np.random.default_rng(3)
     n, d = 10, 3
     X, graph = _graph(rng, n)
@@ -98,7 +98,6 @@ def test_update_Y_solves_procrustes_and_tracks_violations():
     for _ in range(200):
         Z, _ = np.linalg.qr(rng.standard_normal((n, d)))
         assert float(np.sum(Z * D)) <= best + 1e-9
-    assert state.max_orth_violation <= 1e-10
     np.testing.assert_allclose(state.Y.T @ state.Y, np.eye(d), atol=1e-10)
 
 
@@ -174,10 +173,9 @@ def test_update_Lambda_accumulates_residual():
     Y = _random_orthonormal_centered(rng, 7, 2)
     state = init_state(Y, graph)
     state.V = rng.standard_normal(state.V.shape)
-    rho = 0.05
     resid = state.V - edge_differences(Y, graph)
-    update_Lambda(state, graph, rho)
-    np.testing.assert_allclose(state.Lambda, rho * resid, atol=1e-12)
+    update_Lambda(state, graph)
+    np.testing.assert_allclose(state.Lambda, graph.rho * resid, atol=1e-12)
 
 
 def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
@@ -187,7 +185,7 @@ def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
     Y0 = _random_orthonormal_centered(rng, n, d)
     state = init_state(Y0, graph)
     W = 0.5 * _random_orthonormal_centered(rng, n, d)
-    inner_admm(W, state, graph, gamma=0.02, rho=0.05, epsilon=1e-8)
+    inner_admm(W, state, graph, gamma=0.02, epsilon=1e-8)
     assert state.converged
     assert state.iterations >= 1
     diffs = np.diff(state.inner_objective)
@@ -199,7 +197,7 @@ def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
     np.testing.assert_allclose(state.Y.sum(axis=0), 0.0, atol=1e-9)
     # the recorded Lagrangian matches a recomputation at the final state
     assert state.inner_objective[-1] == pytest.approx(
-        augmented_lagrangian(W, state, graph, 0.02, 0.05), rel=1e-12)
+        augmented_lagrangian(W, state, graph, 0.02), rel=1e-12)
 
 
 def _two_calls(rng, n=12, d=2):
@@ -212,10 +210,10 @@ def _two_calls(rng, n=12, d=2):
 
 def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(10))
-    gamma, rho = 0.02, 0.05
+    gamma = 0.02
     carried, recomputed = init_state(Y0, graph), init_state(Y0, graph)
     for state in (carried, recomputed):
-        inner_admm(W1, state, graph, gamma, rho, epsilon=1e-8)
+        inner_admm(W1, state, graph, gamma, epsilon=1e-8)
     # copies of the three arrays void the carry
     recomputed.Y = recomputed.Y.copy()
     recomputed.V = recomputed.V.copy()
@@ -232,9 +230,9 @@ def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
     real = admm_scoring.edge_differences
     monkeypatch.setattr(admm_scoring, "edge_differences",
                         lambda Y, g: gathers.append(Y) or real(Y, g))
-    inner_admm(W2, carried, graph, gamma, rho, epsilon=1e-8)
+    inner_admm(W2, carried, graph, gamma, epsilon=1e-8)
     assert gathers == []
-    inner_admm(W2, recomputed, graph, gamma, rho, epsilon=1e-8)
+    inner_admm(W2, recomputed, graph, gamma, epsilon=1e-8)
     assert len(gathers) == 1
     assert carried.iterations == recomputed.iterations > 1
     np.testing.assert_array_equal(carried.Y, recomputed.Y)
@@ -247,26 +245,26 @@ def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
 def test_inner_admm_carries_its_set_up_across_gamma_rho_and_Lambda(monkeypatch):
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(11))
     state = init_state(Y0, graph)
-    inner_admm(W1, state, graph, 0.02, 0.05, epsilon=1e-8)
-    # the carried arrays depend on Y, V and the graph alone
+    inner_admm(W1, state, graph, 0.02, epsilon=1e-8)
+    # the carried arrays depend on Y, V and the edges alone
     state.Lambda = state.Lambda + 0.1 * np.random.default_rng(12).standard_normal(
         state.Lambda.shape)
     assert state.carry.holds(state, graph)
-    assert not state.carry.holds(state, build_quadratic(graph, 0.05))
+    assert state.carry.holds(state, build_quadratic(graph, 0.06))
     # the start of each next call is the Lagrangian there, recomputed in full
     expect = init_state(Y0, graph)
     expect.Y, expect.V, expect.Lambda = state.Y, state.V, state.Lambda
-    cases = [(0.03, 0.05), (0.02, 0.06)]
-    starts = [augmented_lagrangian(W2, expect, graph, gamma, rho) for gamma, rho in cases]
+    cases = [(0.03, build_quadratic(graph, 0.05)), (0.02, build_quadratic(graph, 0.06))]
+    starts = [augmented_lagrangian(W2, expect, bound, gamma) for gamma, bound in cases]
 
     gathers = []
     real = admm_scoring.edge_differences
     monkeypatch.setattr(admm_scoring, "edge_differences",
                         lambda Y, g: gathers.append(Y) or real(Y, g))
-    for (gamma, rho), start in zip(cases, starts):
+    for (gamma, bound), start in zip(cases, starts):
         probe = dataclasses.replace(state)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            inner_admm(W2, probe, graph, gamma, rho, max_inner=0)
+            inner_admm(W2, probe, bound, gamma, max_inner=0)
         assert probe.inner_objective[0] == pytest.approx(start, rel=1e-12)
     assert gathers == []
 
@@ -277,7 +275,7 @@ def test_init_state_and_an_inner_iteration_keep_V_and_Lambda_F_contiguous():
     assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        inner_admm(W1, state, graph, 0.02, 0.05, max_inner=1)
+        inner_admm(W1, state, graph, 0.02, max_inner=1)
     assert state.iterations == 1
     assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
     assert state.carry.diffs.flags.f_contiguous and state.carry.resid.flags.f_contiguous

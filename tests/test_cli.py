@@ -255,6 +255,11 @@ def test_evaluate_input_validation(dataset, tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{\"labels\": [1, 2]}")
     assert _run(["evaluate", "--fit", str(bogus), "--truth", str(truth)]) == 2
+    # labels that are not 1-d integers >= 1 are bad input, not a crash
+    fit = {"embedding": [[0.0]], "y_hat": [[0.0]], "b_hat": [[0.0]], "k": 2}
+    for labels in (["a", "b"], [[1], [2]]):
+        bogus.write_text(json.dumps(dict(fit, labels=labels)))
+        assert _run(["evaluate", "--fit", str(bogus), "--truth", str(truth)]) == 2
 
 
 def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
@@ -485,6 +490,9 @@ BAD_FLAGS = [
     # flags that design 2 and design 4 sweep over are checked as given too
     ("simulate", ["--design", "2", "--eta1", "-5", "--gamma", "-9"]),
     ("simulate", ["--design", "4", "--tau", "-1"]),
+    ("fit", ["--gamma", "nan"]),
+    ("fit", ["--epsilon", "nan"]),
+    ("tune", ["--grid-rho", "nan"]),
 ]
 BASE_ARGS = {
     "select-k": ["--k-min", "2", "--k-max", "3", "--mc-samples", "5"],

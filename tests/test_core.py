@@ -108,6 +108,11 @@ def test_problem_instance_validation():
         ProblemInstance(data=X, k=3, tau=-0.1)  # weights would grow with distance
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=3, delta=0)  # no neighbors, so no fusion graph
+    # NaN fails every ordering test, so each float setting is checked finite
+    for name in ("eta1", "eta2", "gamma", "rho", "epsilon", "tau"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                ProblemInstance(data=X, k=3, **{name: bad})
     # the ratio filter only applies to the paper V step with the fusion term active
     ProblemInstance(data=X, k=3, gamma=0.0, rho=0.01, v_mode="paper")
     ProblemInstance(data=X, k=3, gamma=0.5, rho=0.1, v_mode="exact")

@@ -218,7 +218,7 @@ def test_graph_build_and_inner_admm_never_hold_an_n_by_n_float():
         state = init_state(L[:, :d], graph)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inner_admm(W, state, graph, gamma=0.001, rho=0.01, max_inner=3, v_mode="exact")
+            inner_admm(W, state, graph, gamma=0.001, max_inner=3, v_mode="exact")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -86,6 +86,10 @@ def test_fit_rsodc_trace_is_monotone_and_constraints_hold():
     assert len(fit.inner_iterations) == fit.outer_iters
     d = inst.d
     np.testing.assert_allclose(fit.Y_hat.T @ fit.Y_hat, np.eye(d), atol=1e-8)
+    # the maxima run over the Y of every scoring step, the one kept included
+    assert fit.diagnostics["max_orth_violation"] >= np.abs(
+        fit.Y_hat.T @ fit.Y_hat - np.eye(d)).max()
+    assert fit.diagnostics["max_center_violation"] >= np.abs(fit.Y_hat.sum(axis=0)).max()
     np.testing.assert_allclose(fit.embedding, center_columns(X) @ fit.B_hat,
                                atol=1e-12)
 
