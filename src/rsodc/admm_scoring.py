@@ -29,11 +29,13 @@ column: the gather writes columns, and the scatter and core.row_norms read
 them as whole vectors. The arithmetic is the same elementwise, so every
 iterate has the bits it would have in C order.
 
-A call writes its differences, residual, V norms and per-edge temporaries
-in place into arrays of its own; the first three stay with the state when
-it returns (ScoringState.carry). The next call starts from them instead of
-a gather and a full Lagrangian, as long as the state still holds the Y and
-V they were computed at and the call runs on the same edges, at any rho.
+Every step returns new arrays and writes into none it was handed; it may
+write into arrays it allocated itself, which spares a temporary. The
+differences, residual and V norms of a call's last iteration stay with the
+state when it returns (ScoringState.carry), and since no later step writes
+into them, the next call starts from them instead of a gather and a full
+Lagrangian, as long as the state still holds the Y and V they were
+computed at and the call runs on the same edges, at any rho.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class ScoringState:
     point of the current majorizer, the Y of the previous iteration: the
     steps point it at that Y object itself, not at a copy.
 
-    The steps replace Y, V and Lambda with new arrays and never write into
-    them. Three things rest on that rule: the solver keeps the accepted Y
+    A step returns new arrays and writes into none it was handed: it
+    replaces Y, V and Lambda, and no later step overwrites the arrays in
+    carry. Three things rest on that rule: the solver keeps the accepted Y
     itself as its rollback snapshot, Q shares Y's array, and carry (set by
     inner_admm) is valid exactly while Y and V are the objects it was
     computed at. Code that sets Y or V to another array, a copy included,
@@ -108,20 +111,19 @@ def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
     return edge_gather(Y, graph.edges)
 
 
-def assemble_D(W, state: ScoringState, graph: FusionGraph,
-               diffs=None, work=None) -> np.ndarray:
+def assemble_D(W, state: ScoringState, graph: FusionGraph, diffs=None) -> np.ndarray:
     """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
 
     With 2 C Q = rho sum_l g_l (q_i - q_j)^T (rho the graph's), all three
     edge sums are one scatter:
     D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho (q_i - q_j))^T),
-    in O(m d). diffs, when given, are the edge differences of state.Q;
-    work, when given, an (m, d) array the edge sum is formed in. Nothing
-    is checked here: inner_admm checks its inputs once, before its loop.
+    in O(m d). diffs, when given, are the edge differences of state.Q.
+    Nothing is checked here: inner_admm checks its inputs once, before its
+    loop.
     """
     if diffs is None:
         diffs = edge_differences(state.Q, graph)
-    T = np.multiply(state.V, graph.rho, out=work)
+    T = state.V * graph.rho
     T += state.Lambda
     T -= graph.rho * diffs
     return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, graph.n))
@@ -224,7 +226,7 @@ def _psi(graph: FusionGraph, gamma: float, rho: float, mode: str) -> np.ndarray:
 
 
 def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
-             mode: str, diffs=None, psi=None, norms_out=None, work=None) -> ScoringState:
+             mode: str, diffs=None, psi=None, norms_out=None) -> ScoringState:
     """Per-edge V step on 1/2 ||v - q_l||^2 + psi_l ||v||, psi_l = gamma * alpha_l / rho.
 
     Here q_l = y_i - y_j - lambda_l / rho. mode="paper" takes one
@@ -237,14 +239,13 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     threshold of q_l at psi_l. diffs, when given, are the edge differences
     of state.Y; psi, when given, the thresholds _psi checked for mode;
     norms_out, when given, an (m,) array that receives the row norms of
-    the new V (row_soft_threshold's); work, when given, an (m, d) array
-    q is formed in.
+    the new V (row_soft_threshold's).
     """
     if psi is None:
         psi = _psi(graph, gamma, rho, mode)
     if diffs is None:
         diffs = edge_differences(state.Y, graph)
-    q = np.divide(state.Lambda, rho, out=work)
+    q = state.Lambda / rho
     np.subtract(diffs, q, out=q)
     if mode == "exact":
         state.V = row_soft_threshold(q, psi, norms_out)
@@ -254,16 +255,14 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     return state
 
 
-def update_Lambda(state: ScoringState, graph: FusionGraph,
-                  resid=None, work=None) -> ScoringState:
+def update_Lambda(state: ScoringState, graph: FusionGraph, resid=None) -> ScoringState:
     """lambda_l <- lambda_l + rho (v_l - y_i + y_j), rho the graph's.
 
-    resid, when given, is state.V minus the edge differences of state.Y;
-    work, when given, an (m, d) array the step rho * resid is formed in.
+    resid, when given, is state.V minus the edge differences of state.Y.
     """
     if resid is None:
         resid = state.V - edge_differences(state.Y, graph)
-    state.Lambda = state.Lambda + np.multiply(resid, graph.rho, out=work)
+    state.Lambda = state.Lambda + graph.rho * resid
     return state
 
 
@@ -303,9 +302,9 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     The starting Lagrangian needs the edge differences of Y, the residual
     and the norms of V. When state.carry holds them for this state and the
     graph's edges, at any rho, they are taken from it; otherwise computed.
-    Either way the call writes its per-edge arrays in place and leaves them
-    in state.carry for the next call. W, the state and the graph are
-    checked once, before the loop.
+    Each iteration forms them anew, and the last iteration's stay in
+    state.carry for the next call. W, the state and the graph are checked
+    once, before the loop.
     """
     W = check_matrix(W, "W")
     if state.Y.shape != W.shape:
@@ -324,18 +323,17 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         resid = np.subtract(state.V, diffs, order="F")
         v_norms = row_norms(state.V)
     L_prev = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
-    work = np.empty_like(diffs)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
     for _ in range(int(max_inner)):
-        D = assemble_D(W, state, graph, diffs=diffs, work=work)
-        update_Y(state, D)
-        edge_gather(state.Y, graph.edges, out=diffs)
+        update_Y(state, assemble_D(W, state, graph, diffs=diffs))
+        diffs = edge_gather(state.Y, graph.edges)
+        v_norms = np.empty(graph.m)
         update_V(state, graph, gamma, graph.rho, mode=v_mode, diffs=diffs, psi=psi,
-                 norms_out=v_norms, work=work)
-        np.subtract(state.V, diffs, out=resid)
-        update_Lambda(state, graph, resid=resid, work=work)
+                 norms_out=v_norms)
+        resid = state.V - diffs
+        update_Lambda(state, graph, resid=resid)
         L_new = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
         state.inner_objective.append(L_new)
         state.iterations += 1

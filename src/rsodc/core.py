@@ -188,10 +188,11 @@ class ProblemInstance:
         n, p = self.data.shape
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.k - 1 > min(n, p):
+        if self.k - 1 > min(n - 1, p):
             raise ValueError(
-                f"k - 1 = {self.k - 1} exceeds min(n, p) = {min(n, p)}; "
-                "the embedding dimension is not representable"
+                f"k - 1 = {self.k - 1} exceeds min(n - 1, p) = {min(n - 1, p)}; "
+                "a centered scoring matrix with k - 1 orthonormal columns "
+                "needs n >= k rows and p >= k - 1 columns"
             )
         for name in ("eta1", "eta2", "gamma", "tau"):
             if not 0 <= getattr(self, name) < np.inf:

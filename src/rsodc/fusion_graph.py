@@ -44,16 +44,14 @@ OMEGA_FLOOR = 1e-12
 KNN_BLOCK_ELEMENTS = 2 ** 17
 
 
-def edge_gather(Y: np.ndarray, edges: np.ndarray, out=None) -> np.ndarray:
+def edge_gather(Y: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """G^T Y: the row differences y_i - y_j for every edge (i, j).
 
     Y is (n, d); the (m, d) result is in Fortran order, written one
-    contiguous coordinate column at a time, into out when it is given (an
-    F-ordered (m, d) array).
+    contiguous coordinate column at a time.
     """
     i, j = edges[:, 0], edges[:, 1]
-    if out is None:
-        out = np.empty((len(i), Y.shape[1]), order="F")
+    out = np.empty((len(i), Y.shape[1]), order="F")
     for c, col in enumerate(np.ascontiguousarray(Y.T)):
         np.subtract(col.take(i), col.take(j), out=out[:, c])
     return out

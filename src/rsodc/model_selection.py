@@ -121,7 +121,9 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     Returns
     -------
     (best, table)
-        best: dict with eta1, gamma, rho, mean_kappa. table: one dict per
+        best: dict with eta1, gamma, rho, mean_kappa and ties, the number
+        of combos whose mean kappa equals the best's (the best's own
+        included). table: one dict per
         combo with the per-repeat kappas, the failure count, and how many
         of its 2 * repeats fits ended "stalled" (fits_stalled) and
         "max_outer" (fits_max_outer); a repeat that failed counts in
@@ -175,6 +177,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
              for ci, (eta1, gamma, rho) in enumerate(combos)]
     bi = min(range(len(combos)), key=lambda ci: (-means[ci],) + combos[ci])
     best = {key: table[bi][key] for key in ("eta1", "gamma", "rho", "mean_kappa")}
+    best["ties"] = int(np.count_nonzero(means == means[bi]))
     return best, table
 
 

@@ -475,8 +475,9 @@ def tandem_baseline(X, k: int, seed=0) -> FitResult:
     X = check_matrix(X, "X")
     n, p = X.shape
     d = k - 1
-    if not 1 <= d <= min(n, p):
-        raise ValueError(f"k - 1 must be in [1, {min(n, p)}], got {d}")
+    if not 1 <= d <= min(n - 1, p):
+        raise ValueError(f"k - 1 must be in [1, min(n - 1, p) = {min(n - 1, p)}] "
+                         f"(n >= k rows are needed), got {d}")
     t_start = time.perf_counter()
     Xc = center_columns(X)
     L, R = _singular_vectors(Xc)

@@ -269,6 +269,20 @@ def test_inner_admm_carries_its_set_up_across_gamma_rho_and_Lambda(monkeypatch):
     assert gathers == []
 
 
+def test_inner_admm_writes_into_no_array_it_was_handed_or_carried():
+    graph, Y0, W1, W2 = _two_calls(np.random.default_rng(13))
+    state = init_state(Y0, graph)
+    inner_admm(W1, state, graph, 0.02, epsilon=1e-8)
+    carry = state.carry
+    handed = {"Y": state.Y, "V": state.V, "Lambda": state.Lambda,
+              "diffs": carry.diffs, "resid": carry.resid, "v_norms": carry.v_norms}
+    before = {name: array.copy() for name, array in handed.items()}
+    inner_admm(W2, state, graph, 0.02, epsilon=1e-8)
+    assert state.iterations > 1 and state.carry is not carry
+    for name, array in handed.items():
+        np.testing.assert_array_equal(array, before[name], err_msg=name)
+
+
 def test_init_state_and_an_inner_iteration_keep_V_and_Lambda_F_contiguous():
     graph, Y0, W1, _ = _two_calls(np.random.default_rng(12), d=3)
     state = init_state(Y0, graph)

@@ -87,6 +87,12 @@ def test_fit_exit_codes(dataset, tmp_path):
     assert _run(["fit", str(data), "--k", "1"]) == 2
     assert _run(["fit", str(data), "--k", "3", "--gamma", "0.5",
                  "--rho", "0.01", "--v-mode", "paper"]) == 2
+    # fewer rows than clusters: no centered scoring matrix has k - 1 columns
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("".join(data.read_text().splitlines(keepends=True)[:3]))
+    for gamma in ("0.01", "0"):
+        assert _run(["fit", str(two_rows), "--k", "3", "--gamma", gamma,
+                     "--out", str(tmp_path / "two")]) == 2
 
 
 def test_fit_takes_gamma_above_rho_with_the_exact_v_step(dataset, tmp_path):
@@ -114,6 +120,18 @@ def test_tune_outputs_table_and_best(dataset, tmp_path):
     best = json.loads((out / "best_params.json").read_text())
     assert best["eta1"] in (1.0, 2.5)
     assert best["manifest"]["command"] == "tune"
+
+
+def test_tune_reports_how_many_combos_tie_for_the_best_kappa(dataset, tmp_path):
+    data, _, _, _ = dataset
+    out = tmp_path / "tune"
+    # eta1 this large zeroes B in every fit, so every combo scores kappa -1
+    assert _run(["tune", str(data), "--k", "3", "--grid-eta1", "1e6",
+                 "--grid-gamma", "0,0.01", "--grid-rho", "0.05,0.1", "--repeats", "1",
+                 "--out", str(out)]) == 0
+    best = json.loads((out / "best_params.json").read_text())
+    assert (best["mean_kappa"], best["ties"]) == (-1.0, 4)
+    assert (best["eta1"], best["gamma"], best["rho"]) == (1e6, 0.0, 0.05)
 
 
 def test_tune_counts_fits_that_end_at_max_outer(dataset, tmp_path):

@@ -92,6 +92,11 @@ def test_problem_instance_validation():
         ProblemInstance(data=X, k=1)
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=6)  # k - 1 > min(n, p)
+    # a centered n x (k - 1) matrix with orthonormal columns needs k - 1 <= n - 1
+    for rows, k in ((1, 2), (2, 3), (3, 4)):
+        with pytest.raises(ValueError, match="n >= k"):
+            ProblemInstance(data=X[:rows], k=k)
+    assert ProblemInstance(data=X[:3], k=3).d == 2
     with pytest.raises(ValueError):
         ProblemInstance(data=X, k=3, eta1=-0.1)
     with pytest.raises(ValueError):
