@@ -52,18 +52,10 @@ SIM_GRIDS = dict(TUNE_GRIDS, tau=(0.001, 0.005, 0.01, 0.05, 0.1), delta=range(5,
 
 
 def _threads(args) -> int:
-    """--threads, else RSODC_THREADS, else 1; a count below 1 is an input error."""
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("RSODC_THREADS", "").strip() or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InputError(f"RSODC_THREADS must be an integer, got {env!r}")
-    if threads < 1:
-        source = "RSODC_THREADS" if args.threads is None else "--threads"
-        raise InputError(f"{source} must be >= 1, got {threads}")
-    return threads
+    """--threads; a count below 1 is an input error."""
+    if args.threads < 1:
+        raise InputError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _parse_list(text: str, flag: str, cast) -> tuple:
@@ -515,8 +507,7 @@ def _add_common(p, parallel: bool) -> None:
     """--seed and --out, and --threads for a command that runs work in parallel."""
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     if parallel:
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: RSODC_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", default="rsodc_out", help="output directory")
 
 

@@ -23,6 +23,7 @@ its design with twice its eta2, and K is then the loss as a function of B.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +148,9 @@ def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
     with S the group soft threshold, keeping G B up to date after each
     group; a group whose norm falls below ZERO_TOL snaps to zero, and a group
     with G_jj + eta2 = 0 stays zero. Sweeps stop when one lowers the
-    subproblem objective by less than epsilon, or after max_sweeps. A sweep
-    costs O(p^2 d) whatever n is; the exact update needs no step size.
+    subproblem objective by less than epsilon, or after max_sweeps with a
+    warning. A sweep costs O(p^2 d) whatever n is; the exact update needs no
+    step size.
 
     Returns the updated B and the number of sweeps taken.
     """
@@ -187,4 +189,5 @@ def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
         if obj - new_obj < epsilon:
             return B, sweep
         obj = new_obj
+    warnings.warn(f"B step did not converge within {int(max_sweeps)} sweeps", RuntimeWarning)
     return B, int(max_sweeps)

@@ -15,8 +15,12 @@ The reported loss keeps the 1/2 on the fit term; the B subproblem works with
 the same scaling and a ridge weight of 2 eta2, so with Y fixed it is the
 reported loss in B and its coordinate sweeps never raise it. ADMM
 iterations carry no such guarantee, hence the guarded
-acceptance below: a cycle that raises the loss beyond 1e-8 is rolled back and
-the fit ends with status "stalled", keeping the trace non-increasing.
+acceptance below: a scoring step that raises the loss beyond 1e-8 is rolled
+back to the accepted Y and the ADMM runs again from there with its advanced
+V and Lambda, up to SCORING_RETRIES times; only when every retry is rejected
+does the fit end with status "stalled". Either way the trace is
+non-increasing. The fusion-free Procrustes step is deterministic given
+W, so it is not retried.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from .admm_scoring import ScoringState, edge_differences, init_state, inner_admm
 from .core import (ProblemInstance, as_generator, center_columns, check_matrix, row_norms,
                    thin_svd)
 from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
-from .group_lasso import build_stacked, solve_B
+from .group_lasso import MAX_SWEEPS, build_stacked, solve_B
 
 OBJECTIVE_SLACK = 1e-8
+# further inner ADMM calls from the accepted Y after one raises the loss
+SCORING_RETRIES = 20
 
 
 @dataclass
@@ -153,6 +159,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     gram = Xc.T @ Xc
     inner_iterations: list = []
     b_sweeps: list = []
+    retries = 0
     status = "max_outer"
     orth = center = 0.0
     for _ in range(instance.max_outer):
@@ -173,29 +180,41 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
 
         t0 = time.perf_counter()
         # the scoring steps replace Y rather than write into it, so the
-        # accepted array is the rollback snapshot: after one only Y is read
+        # accepted array is the rollback snapshot
         prev = state.Y
-        if fused:
-            inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
-                       max_inner=instance.max_inner, v_mode=instance.v_mode)
-            inner_iterations.append(state.iterations)
-        else:
-            update_Y(state, W)
-            inner_iterations.append(1)
+        ceiling = min(obj_b, trace[-1]) + OBJECTIVE_SLACK
+        # a rejected ADMM call is retried from the accepted Y with the
+        # advanced V and Lambda (restoring Y voids state.carry); the
+        # Procrustes step is deterministic given W, so it runs once
+        calls = 0
+        for attempt in range(SCORING_RETRIES + 1 if fused else 1):
+            if attempt:
+                retries += 1
+                state.Y = state.Q = prev
+            if fused:
+                inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
+                           max_inner=instance.max_inner, v_mode=instance.v_mode)
+                calls += state.iterations
+            else:
+                update_Y(state, W)
+                calls += 1
+            # a fused call leaves the edge differences of the Y it ends at
+            fusion_y = _fusion_term(state.Y, graph, instance.gamma,
+                                    state.carry.diffs if fused else None)
+            obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
+            if not obj_y > ceiling:
+                break
+        inner_iterations.append(calls)
         timings["y_step"] += time.perf_counter() - t0
-        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
-        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
-        # a fused call leaves the edge differences of the Y it ends at
-        fusion_y = _fusion_term(state.Y, graph, instance.gamma,
-                                state.carry.diffs if fused else None)
-        obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
-        if obj_y > obj_b + OBJECTIVE_SLACK or obj_y > trace[-1] + OBJECTIVE_SLACK:
+        if obj_y > ceiling:
             state.Y = prev
             trace.append(obj_b)
             status = "stalled"
             warnings.warn("scoring step raised the loss; keeping the previous "
                           "iterate and stopping", RuntimeWarning)
             break
+        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
+        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
         fusion = fusion_y
         trace.append(obj_y)
         if trace[-2] - trace[-1] < instance.epsilon:
@@ -228,6 +247,8 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             "degenerate_updates": state.degenerate_updates,
             "convergence_count": len(trace) - 1 + sum(inner_iterations),
             "b_sweeps": b_sweeps,
+            "b_steps_capped": b_sweeps.count(MAX_SWEEPS),
+            "retries": retries,
             "kmeans_inertia": centroids.inertia,
             **({"omega": graph.omega, "edges": graph.m} if fused else {"edges": 0}),
         },

@@ -595,3 +595,32 @@ def test_fit_reports_the_sweeps_of_each_b_step(gamma, monkeypatch):
         fit = fit_rsodc(inst, seed=1)
     assert fit.diagnostics["b_sweeps"] == returned
     assert len(returned) == fit.outer_iters and min(returned) >= 1
+
+
+def test_a_rejected_scoring_step_is_retried_from_the_accepted_iterate():
+    # ARI-band draw 29: without retries the first rejected step ends this
+    # fit as stalled after 11 outer iterations
+    X, _ = generate(SimulationConfig(n=60, p=20, k=3, theta=2.2, xi=0.5, seed=1029))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.05, rho=0.1, v_mode="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_rsodc(inst, seed=29)
+    assert fit.status == "converged"
+    assert fit.diagnostics["retries"] >= 1
+    assert np.all(np.diff(fit.objective_trace) <= solver.OBJECTIVE_SLACK)
+    assert len(fit.inner_iterations) == fit.outer_iters
+    # the fusion-free Procrustes step is never retried
+    sodc = fit_sodc(inst, seed=29)
+    assert sodc.diagnostics["retries"] == 0
+
+
+def test_b_steps_at_the_sweep_cap_warn_and_are_counted():
+    X, _ = generate(SimulationConfig(n=30, p=100, k=3, theta=2.5, xi=0.5, seed=1))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.01, rho=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_rsodc(inst, seed=0)
+    capped = fit.diagnostics["b_sweeps"].count(solver.MAX_SWEEPS)
+    assert capped == fit.diagnostics["b_steps_capped"] == 2
+    assert sum("B step did not converge" in str(w.message) for w in caught) == capped
+    assert fit.status == "converged"
