@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 import jsonschema
+import referencing
 
 
 class InputError(Exception):
@@ -134,13 +135,22 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+# bundled schemas that the output schemas refer to by file name
+SHARED_SCHEMAS = ("manifest.schema.json", "fit_outcomes.schema.json")
+
+
 @functools.cache
 def _validator(schema_name: str):
-    """A validator for the bundled schema, itself checked once per process."""
+    """A validator for the bundled schema, itself checked once per process.
+    A $ref to a shared schema resolves to its bundled file, never to the
+    network."""
     schema = load_schema(schema_name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    shared = [] if schema_name in SHARED_SCHEMAS else [
+        (name, referencing.Resource.from_contents(_validator(name).schema))
+        for name in SHARED_SCHEMAS]
+    return cls(schema, registry=referencing.Registry().with_resources(shared))
 
 
 def _finite_matrix(key: str, value) -> np.ndarray:

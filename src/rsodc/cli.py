@@ -43,7 +43,8 @@ from .metrics import (
     variance_ratio,
 )
 from .model_selection import ParamGrid, select_k_by_gap, stability_cv
-from .solver import fit_rsodc, fit_sodc, tandem_baseline
+from .solver import (OUTCOME_COUNTS, fit_rsodc, fit_sodc, outcome_counts,
+                     summed_outcome_counts, tandem_baseline)
 
 # default candidates of the --grid-* flags: tune's, and simulate's (designs 2 and 4)
 TUNE_GRIDS = {"eta1": model_selection.PAPER_ETA1, "gamma": model_selection.PAPER_GAMMA,
@@ -182,15 +183,13 @@ def cmd_tune(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = ["cv_table.csv", "best_params.json"]
-    counts = ["failures", "fits_stalled", "fits_max_outer"]
+    counts = ["failures", *OUTCOME_COUNTS]
     header = (["eta1", "gamma", "rho", "mean_kappa", *counts]
               + [f"kappa_{r + 1}" for r in range(grid.repeats)])
     rows = [[row["eta1"], row["gamma"], row["rho"], row["mean_kappa"],
              *(row[c] for c in counts)] + row["kappas"] for row in table]
     write_rows_csv(os.path.join(args.out, "cv_table.csv"), header, rows)
-    payload = dict(best, fits_stalled=sum(row["fits_stalled"] for row in table),
-                   fits_max_outer=sum(row["fits_max_outer"] for row in table),
-                   warnings=len(caught))
+    payload = dict(best, **summed_outcome_counts(table), warnings=len(caught))
     payload["manifest"] = _manifest(args, [args.csv], outputs,
                                     {"command": elapsed}, threads)
     write_json(os.path.join(args.out, "best_params.json"), payload,
@@ -238,8 +237,7 @@ def cmd_select_k(args) -> int:
         # one entry per candidate, in k_candidates order
         "status": [fits[k].status for k in curve.k_candidates],
         "outer_iters": [fits[k].outer_iters for k in curve.k_candidates],
-        "fits_stalled": sum(fit.status == "stalled" for fit in fits.values()),
-        "fits_max_outer": sum(fit.status == "max_outer" for fit in fits.values()),
+        **outcome_counts(fits.values()),
         "warnings": len(caught),
         "manifest": _manifest(args, [args.csv], outputs,
                               {"command": elapsed}, threads),
@@ -275,27 +273,33 @@ def _replicate_fit(args, data, r, changes) -> dict:
                 ari=float(adjusted_rand_index(truth, fit.labels)),
                 outer_iters=fit.outer_iters, sensitivity=sensitivity,
                 specificity=specificity,
-                convergence_count=fit.diagnostics.get("convergence_count", 0))
+                convergence_count=fit.diagnostics.get("convergence_count", 0),
+                **outcome_counts([fit]))
 
 
 def _replicate_select_k(args, data, r, ks) -> dict:
-    """Design 3: the gap-statistic choice of k on replicate r's data."""
+    """Design 3: the gap-statistic choice of k on replicate r's data, with
+    the outcome counts of its candidates' fits."""
     seed = child_seed(args.seed, 22, r).generate_state(1)[0].item()
-    chosen, _, _ = _select_k(data[0], ks, args, seed, threads=1)
-    return {"replicate": r, "true_k": args.k, "chosen_k": chosen}
+    chosen, _, fits = _select_k(data[0], ks, args, seed, threads=1)
+    return {"replicate": r, "true_k": args.k, "chosen_k": chosen,
+            **outcome_counts(fits.values())}
 
 
 STATISTICS = {
     "median": lambda values: float(np.median(np.asarray(values, dtype=float))),
     "mean": lambda values: float(np.mean(values)),
     "sd": lambda values: float(np.std(values, ddof=0)),
+    "sum": sum,
 }
+# the aggregate.csv columns of the fit designs that count how fits ended
+STATUS_SUMS = ("sum_fits_stalled", "sum_fits_max_outer")
 
 
 def _summary(column: str, rows: list):
     """One aggregate.csv value for a group of rows: the group size for
-    "replicates" and "count", STATISTICS[stat] of replicates.csv column c
-    for "<stat>_<c>", otherwise the value the rows share in that column."""
+    "replicates" and "count", STATISTICS[stat] of the rows' entry c for
+    "<stat>_<c>", otherwise the value the rows share in that column."""
     if column in ("replicates", "count"):
         return len(rows)
     stat, _, source = column.partition("_")
@@ -327,10 +331,12 @@ DESIGNS = {
     1: Design(_replicate_fit,
               ("replicate", "method", "ari", "seconds", "outer_iters",
                "convergence_count", "status"),
-              ("method",), ("median_ari", "mean_ari", "median_seconds", "replicates")),
+              ("method",),
+              ("median_ari", "mean_ari", "median_seconds", "replicates", *STATUS_SUMS)),
     2: Design(_replicate_fit,
               ("replicate", "eta1", "gamma", "rho", "ari", "seconds", "status"),
-              ("eta1", "gamma", "rho"), ("median_ari", "mean_ari", "replicates")),
+              ("eta1", "gamma", "rho"),
+              ("median_ari", "mean_ari", "replicates", *STATUS_SUMS)),
     3: Design(_replicate_select_k, ("replicate", "true_k", "chosen_k"),
               ("chosen_k",), ("count", "true_k"), sort_groups=True),
     4: Design(_replicate_fit,
@@ -338,11 +344,11 @@ DESIGNS = {
                "seconds", "convergence_count", "status"),
               ("tau", "delta"),
               ("median_ari", "median_sensitivity", "median_specificity",
-               "median_convergence_count", "replicates")),
+               "median_convergence_count", "replicates", *STATUS_SUMS)),
     5: Design(_replicate_fit,
               ("replicate", "ari", "seconds", "convergence_count", "status"), (),
               ("median_ari", "mean_ari", "sd_ari", "median_convergence_count",
-               "replicates"),
+               "replicates", *STATUS_SUMS),
               one_dataset=True),
 }
 
@@ -443,9 +449,7 @@ def cmd_simulate(args) -> int:
         "replicates": reps,
         "aggregate": aggregate,
         "failures": failures,
-        # design 3's rows are select-k runs and carry no fit status
-        "fits_stalled": sum(row.get("status") == "stalled" for row in rows),
-        "fits_max_outer": sum(row.get("status") == "max_outer" for row in rows),
+        **summed_outcome_counts(rows),
         "warnings": len(caught),
         "manifest": _manifest(args, [], outputs, {"command": elapsed}, threads),
     }

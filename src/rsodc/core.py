@@ -8,6 +8,7 @@ thin SVD, and the top eigenvalue of a symmetric PSD matrix.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,8 +51,9 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     """[fn(item) for item in items], in order; a failed item yields None.
 
     Each item that raises is reported by one RuntimeWarning, so callers
-    count failures from the Nones. With threads > 1 the items run on a
-    thread pool; seeding each item from child_seed keeps the results
+    count failures from the Nones. The items run on a pool of at most
+    min(threads, len(items), os.cpu_count()) threads, or in this thread
+    when that is 1; seeding each item from child_seed keeps the results
     independent of scheduling.
     """
     def guarded(item):
@@ -61,9 +63,10 @@ def parallel_map(fn, items, threads: int = 1) -> list:
             warnings.warn(f"{fn.__name__} failed on {item!r}: {exc}", RuntimeWarning)
             return None
 
-    if threads <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(guarded, items))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, parallel_map, thin_svd
 from .fusion_graph import build_fusion_graph, cap_delta
-from .solver import fit_rsodc, kmeans
+from .solver import fit_rsodc, kmeans, outcome_counts, summed_outcome_counts
 
 PAPER_ETA1 = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 PAPER_GAMMA = (0.001, 0.003, 0.005, 0.007, 0.01)
@@ -123,11 +123,9 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     (best, table)
         best: dict with eta1, gamma, rho, mean_kappa and ties, the number
         of combos whose mean kappa equals the best's (the best's own
-        included). table: one dict per
-        combo with the per-repeat kappas, the failure count, and how many
-        of its 2 * repeats fits ended "stalled" (fits_stalled) and
-        "max_outer" (fits_max_outer); a repeat that failed counts in
-        neither.
+        included). table: one dict per combo with the per-repeat kappas,
+        the failure count, and the solver.outcome_counts of its
+        2 * repeats fits, those of a repeat that failed left out.
     """
     X = check_matrix(X, "X")
     n = X.shape[0]
@@ -152,29 +150,24 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
 
     def split_kappa(item):
         ci, r = item
-        inds, statuses = [], []
-        for side, rows in enumerate(splits[r]):
-            inst = replace(instances[ci], data=X[rows])
-            fit = fit_rsodc(inst, graphs[r][side], seed=child_seed(seed, 3, ci, r, side))
-            inds.append(selection_indicator(fit.B_hat))
-            statuses.append(fit.status)
-        return (kappa(inds[0], inds[1]), statuses.count("stalled"),
-                statuses.count("max_outer"))
+        fits = [fit_rsodc(replace(instances[ci], data=X[rows]), graphs[r][side],
+                          seed=child_seed(seed, 3, ci, r, side))
+                for side, rows in enumerate(splits[r])]
+        return kappa(*(selection_indicator(fit.B_hat) for fit in fits)), outcome_counts(fits)
 
     items = [(ci, r) for ci in range(len(combos)) for r in range(grid.repeats)]
     values = parallel_map(split_kappa, items, threads)
-    failed = np.array([v is None for v in values]).reshape(len(combos), grid.repeats)
-    kappas, stalled, max_outer = (
-        np.array(column).reshape(failed.shape)
-        for column in zip(*[(-1.0, 0, 0) if v is None else v for v in values]))
-    failures = failed.sum(axis=1)
+    kappas = np.array([-1.0 if v is None else v[0] for v in values]).reshape(
+        len(combos), grid.repeats)
     means = kappas.mean(axis=1)
-
-    table = [{"eta1": eta1, "gamma": gamma, "rho": rho, "mean_kappa": float(means[ci]),
-              "kappas": kappas[ci].tolist(), "failures": int(failures[ci]),
-              "fits_stalled": int(stalled[ci].sum()),
-              "fits_max_outer": int(max_outer[ci].sum())}
-             for ci, (eta1, gamma, rho) in enumerate(combos)]
+    table = []
+    for ci, (eta1, gamma, rho) in enumerate(combos):
+        counts = [v[1] for v in values[ci * grid.repeats:(ci + 1) * grid.repeats]
+                  if v is not None]
+        table.append({"eta1": eta1, "gamma": gamma, "rho": rho,
+                      "mean_kappa": float(means[ci]), "kappas": kappas[ci].tolist(),
+                      "failures": grid.repeats - len(counts),
+                      **summed_outcome_counts(counts)})
     bi = min(range(len(combos)), key=lambda ci: (-means[ci],) + combos[ci])
     best = {key: table[bi][key] for key in ("eta1", "gamma", "rho", "mean_kappa")}
     best["ties"] = int(np.count_nonzero(means == means[bi]))

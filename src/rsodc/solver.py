@@ -60,6 +60,29 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# the diagnostics a batch output sums over its fits
+SUMMED_DIAGNOSTICS = ("retries", "b_steps_capped", "inner_capped")
+# the fit-outcome counts of the batch outputs, in their column order
+OUTCOME_COUNTS = ("fits_stalled", "fits_max_outer", *SUMMED_DIAGNOSTICS)
+
+
+def outcome_counts(fits) -> dict:
+    """How the fits ended: how many ended "stalled" and how many
+    "max_outer", and the sums of their SUMMED_DIAGNOSTICS (0 for a fit
+    without them, as the tandem baseline's)."""
+    fits = list(fits)
+    statuses = [fit.status for fit in fits]
+    return {"fits_stalled": statuses.count("stalled"),
+            "fits_max_outer": statuses.count("max_outer"),
+            **{key: sum(fit.diagnostics.get(key, 0) for fit in fits)
+               for key in SUMMED_DIAGNOSTICS}}
+
+
+def summed_outcome_counts(records: list) -> dict:
+    """The outcome_counts entries of the records, summed key by key."""
+    return {key: sum(record[key] for record in records) for key in OUTCOME_COUNTS}
+
+
 @dataclass
 class CentroidSet:
     """k-means centroids (k x d) with the within-cluster sum of squares; for
@@ -159,7 +182,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     gram = Xc.T @ Xc
     inner_iterations: list = []
     b_sweeps: list = []
-    retries = 0
+    retries = inner_capped = 0
     status = "max_outer"
     orth = center = 0.0
     for _ in range(instance.max_outer):
@@ -195,6 +218,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
                 inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
                            max_inner=instance.max_inner, v_mode=instance.v_mode)
                 calls += state.iterations
+                inner_capped += not state.converged
             else:
                 update_Y(state, W)
                 calls += 1
@@ -249,6 +273,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             "b_sweeps": b_sweeps,
             "b_steps_capped": b_sweeps.count(MAX_SWEEPS),
             "retries": retries,
+            "inner_capped": inner_capped,
             "kmeans_inertia": centroids.inertia,
             **({"omega": graph.omega, "edges": graph.m} if fused else {"edges": 0}),
         },

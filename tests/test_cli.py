@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rsodc import model_selection
+from rsodc import cli, model_selection, solver
 from rsodc._io import write_matrix_csv
 from rsodc.cli import build_parser, main
 from rsodc.datagen import SimulationConfig, generate
@@ -115,8 +115,9 @@ def test_tune_outputs_table_and_best(dataset, tmp_path):
     with open(out / "cv_table.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert set(rows[0]) == {"eta1", "gamma", "rho", "mean_kappa", "failures",
-                            "fits_stalled", "fits_max_outer", "kappa_1", "kappa_2"}
+    assert list(rows[0]) == ["eta1", "gamma", "rho", "mean_kappa", "failures",
+                             "fits_stalled", "fits_max_outer", "retries",
+                             "b_steps_capped", "inner_capped", "kappa_1", "kappa_2"]
     best = json.loads((out / "best_params.json").read_text())
     assert best["eta1"] in (1.0, 2.5)
     assert best["manifest"]["command"] == "tune"
@@ -409,6 +410,9 @@ def _recomputed_aggregate(rows, group, columns):
             values = [float(r[source]) for r in members if source in r]
             if col in ("replicates", "count"):
                 agg[col] = float(len(members))
+            elif stat == "sum":  # sum_fits_<status>: the group's fits that ended so
+                agg[col] = float(sum(r["status"] == source[len("fits_"):]
+                                     for r in members))
             elif stat == "median":
                 agg[col] = statistics.median(values)
             elif stat == "mean":
@@ -477,23 +481,78 @@ def test_simulate_counts_stalled_and_max_outer_fits(tmp_path):
         # at gamma 5 every retry of these draws' scoring steps raises the loss
         "stalled": ["--design", "2", "--replicates", "2", "--grid-eta1", "2.5",
                     "--grid-gamma", "0.001,5", "--grid-rho", "0.1"],
-        # select-k rows carry no fit status
-        "select_k": ["--design", "3", *SIM_RUNS[3][2:], "--replicates", "1"],
+        # a select-k row counts its candidates' fits, here each cut at one
+        # outer iteration
+        "select_k": ["--design", "3", *SIM_RUNS[3][2:], "--replicates", "1",
+                     "--max-outer", "1"],
     }
     counts = {}
     for name, flags in runs.items():
         out = tmp_path / name
         assert _run(["simulate", "--n", "24", *flags, "--out", str(out)]) == 0
         summary = json.loads((out / "simulate.json").read_text())
-        with open(out / "replicates.csv") as fh:
-            statuses = [r.get("status") for r in csv.DictReader(fh)]
-        assert summary["fits_stalled"] == statuses.count("stalled")
-        assert summary["fits_max_outer"] == statuses.count("max_outer")
         counts[name] = (summary["fits_stalled"], summary["fits_max_outer"])
+        if name == "select_k":
+            continue
+        with open(out / "replicates.csv") as fh:
+            statuses = [r["status"] for r in csv.DictReader(fh)]
+        assert counts[name] == (statuses.count("stalled"), statuses.count("max_outer"))
+        with open(out / "aggregate.csv") as fh:
+            aggregate = list(csv.DictReader(fh))
+        assert counts[name] == tuple(sum(int(row[f"sum_{key}"]) for row in aggregate)
+                                     for key in ("fits_stalled", "fits_max_outer"))
     assert counts["max_outer"] == (0, 2)
     assert counts["stalled"][0] >= 2
-    assert counts["select_k"] == (0, 0)
+    # candidates k = 2 and 3
+    assert sum(counts["select_k"]) == 2
 
+
+# 30 rows and 100 columns (data seed 1) cap B steps; at tau 0.01 and gamma
+# 0.5 scoring steps are rejected and retried, and --max-inner 1 caps inner
+# ADMM calls
+BATCH_COUNT_RUNS = {
+    "tune": (["--grid-eta1", "2.5", "--grid-gamma", "0.5", "--grid-rho", "0.1",
+              "--repeats", "1"], "best_params.json"),
+    "select-k": (["--k-min", "2", "--k-max", "3", "--mc-samples", "5", "--eta1", "2.5",
+                  "--gamma", "0.5", "--rho", "0.1"], "chosen_k.json"),
+    "simulate": (["--design", "2", "--replicates", "1", "--n", "30", "--p", "100",
+                  "--theta", "2.5", "--grid-eta1", "2.5", "--grid-gamma", "0.5",
+                  "--grid-rho", "0.1"], "simulate.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BATCH_COUNT_RUNS))
+def test_batch_counts_are_the_sums_of_their_fits_outcomes(command, tmp_path, monkeypatch):
+    X, _ = generate(SimulationConfig(n=30, p=100, k=3, theta=2.5, xi=0.5, seed=1))
+    data = tmp_path / "wide.csv"
+    write_matrix_csv(data, X, [f"v{j + 1}" for j in range(100)])
+    fits, fit_rsodc = [], solver.fit_rsodc
+
+    def recording_fit_rsodc(*args, **kwargs):
+        fits.append(fit_rsodc(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "fit_rsodc", recording_fit_rsodc)
+    monkeypatch.setattr(model_selection, "fit_rsodc", recording_fit_rsodc)
+    flags, output = BATCH_COUNT_RUNS[command]
+    inputs = [] if command == "simulate" else [str(data)]
+    if command == "tune":
+        inputs += ["--k", "3"]
+    out = tmp_path / "out"
+    assert _run([command, *inputs, *flags, "--tau", "0.01", "--max-inner", "1",
+                 "--seed", "2", "--out", str(out)]) == 0
+    statuses = [fit.status for fit in fits]
+    expected = {"fits_stalled": statuses.count("stalled"),
+                "fits_max_outer": statuses.count("max_outer"),
+                **{key: sum(fit.diagnostics[key] for fit in fits)
+                   for key in ("retries", "b_steps_capped", "inner_capped")}}
+    assert all(expected[key] > 0 for key in ("retries", "b_steps_capped", "inner_capped"))
+    totals = json.loads((out / output).read_text())
+    assert {key: totals[key] for key in expected} == expected
+    if command == "tune":  # one combination, so its row holds the totals
+        with open(out / "cv_table.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert {key: int(row[key]) for key in expected} == expected
 
 BAD_FLAGS = [
     ("select-k", ["--eta1", "-1"]),

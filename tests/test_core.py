@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import rsodc.core as core
 from rsodc.core import (
     ProblemInstance,
     as_generator,
@@ -153,6 +154,36 @@ def test_parallel_map_keeps_order_and_turns_each_failure_into_none(threads):
     assert all(w.category is RuntimeWarning for w in caught)
     assert sorted(str(w.message) for w in caught)[0] == "halve_even failed on 1: odd 1"
 
+
+
+@pytest.mark.parametrize("threads, items, cpus, workers", [
+    (5000, 1750, 4, 4), (3, 10, 4, 3), (5000, 2, 4, 2), (8, 10, None, None),
+    (2, 1, 4, None), (1, 10, 4, None)])
+def test_parallel_map_starts_at_most_one_worker_per_item_and_core(
+        threads, items, cpus, workers, monkeypatch):
+    started = []
+
+    class RecordingExecutor:
+        """Stands in for the thread pool: records its size, runs in order."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: cpus)
+    assert parallel_map(lambda x: 2 * x, range(items), threads) == [
+        2 * x for x in range(items)]
+    # a bound of one worker runs the items in the calling thread
+    assert started == ([] if workers is None else [workers])
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_row_norms_equal_numpy_bit_for_bit_below_eight_columns(d):

@@ -209,6 +209,59 @@ def test_write_json_rejects_bad_fit_arrays(tmp_path, key, bad):
     assert not (tmp_path / "bad.json").exists()
 
 
+
+def _manifest_payloads() -> dict:
+    """A smallest accepted payload for each bundled output schema."""
+    manifest = _fit_payload()["manifest"]
+    return {
+        "fit": _fit_payload(),
+        "best_params": {"eta1": 1.0, "gamma": 0.01, "rho": 0.1, "mean_kappa": 0.5,
+                        "manifest": manifest},
+        "chosen_k": {"chosen_k": 3, "k_candidates": [2, 3], "gap": [0.1, 0.2],
+                     "se": [0.01, 0.01], "manifest": manifest},
+        "metrics": {"ari": 1.0, "manifest": manifest},
+        "simulate": {"design": 1, "replicates": 2, "aggregate": [], "failures": 0,
+                     "manifest": manifest},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_manifest_payloads()))
+def test_every_output_schema_refuses_a_manifest_without_a_required_field(name, tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_name = f"{name}.schema.json"
+    # the manifest is defined once, in its own bundled schema
+    assert load_schema(schema_name)["properties"]["manifest"] == {
+        "$ref": "manifest.schema.json"}
+    assert "manifest" not in load_schema(schema_name).get("$defs", {})
+    payload = _manifest_payloads()[name]
+    write_json(tmp_path / "ok.json", payload, schema_name)
+    required = load_schema("manifest.schema.json")["required"]
+    assert "timings" in required
+    for field in required:
+        manifest = {k: v for k, v in payload["manifest"].items() if k != field}
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(payload, manifest=manifest),
+                       schema_name)
+    with pytest.raises(jsonschema.ValidationError):
+        write_json(tmp_path / "bad.json",
+                   dict(payload, manifest=dict(payload["manifest"], threads=0)),
+                   schema_name)
+    assert not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("name", ["best_params", "chosen_k", "simulate"])
+@pytest.mark.parametrize("key", ["fits_stalled", "fits_max_outer", "retries",
+                                 "b_steps_capped", "inner_capped"])
+def test_batch_schemas_take_fit_outcome_counts_as_integers_from_zero(name, key,
+                                                                      tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    payload = _manifest_payloads()[name]
+    write_json(tmp_path / "ok.json", dict(payload, **{key: 0}), f"{name}.schema.json")
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(payload, **{key: bad}),
+                       f"{name}.schema.json")
+
 def test_read_matrix_csv_parses_like_the_csv_parser(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((9, 4)) * np.array([1e-300, 1.0, 1e7, 1e300])

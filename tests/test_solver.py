@@ -624,3 +624,45 @@ def test_b_steps_at_the_sweep_cap_warn_and_are_counted():
     assert capped == fit.diagnostics["b_steps_capped"] == 2
     assert sum("B step did not converge" in str(w.message) for w in caught) == capped
     assert fit.status == "converged"
+
+
+@pytest.mark.parametrize("max_inner, capped", [(1, True), (1000, False)])
+def test_inner_admm_calls_that_end_at_max_inner_are_counted(max_inner, capped, monkeypatch):
+    inner_admm, converged = solver.inner_admm, []
+
+    def recording_inner_admm(*args, **kwargs):
+        state = inner_admm(*args, **kwargs)
+        converged.append(state.converged)
+        return state
+
+    monkeypatch.setattr(solver, "inner_admm", recording_inner_admm)
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.5, xi=0.5, seed=4))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.05, rho=0.05, max_inner=max_inner)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_rsodc(inst, seed=1)
+    warned = sum("scoring ADMM did not converge" in str(w.message) for w in caught)
+    assert fit.diagnostics["inner_capped"] == converged.count(False) == warned
+    assert (warned > 0) == capped
+    # the fusion-free Procrustes step has no inner loop
+    assert fit_sodc(inst, seed=1).diagnostics["inner_capped"] == 0
+
+
+def test_outcome_counts_sum_statuses_and_diagnostics():
+    X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.5, xi=0.5, seed=4))
+    inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.05, rho=0.05, max_inner=1,
+                           max_outer=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = [fit_rsodc(inst, seed=1), fit_sodc(inst, seed=1), tandem_baseline(X, 3)]
+    counts = solver.outcome_counts(fits)
+    assert list(counts) == list(solver.OUTCOME_COUNTS)
+    statuses = [fit.status for fit in fits]
+    assert counts["fits_stalled"] == statuses.count("stalled")
+    assert counts["fits_max_outer"] == statuses.count("max_outer")
+    for key in ("retries", "b_steps_capped", "inner_capped"):
+        assert counts[key] == sum(fit.diagnostics.get(key, 0) for fit in fits[:2])
+    assert counts["inner_capped"] > 0
+    assert solver.summed_outcome_counts([counts, dict(counts, extra=1)]) == {
+        key: 2 * value for key, value in counts.items()}
+    assert solver.summed_outcome_counts([]) == dict.fromkeys(solver.OUTCOME_COUNTS, 0)
