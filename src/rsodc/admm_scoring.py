@@ -4,24 +4,23 @@ the dual Lambda step, under Y^T Y = I and Y^T 1 = 0. rho is read from the
 graph, where it also sets C and omega (build_quadratic binds it); only
 update_V, which never touches C, takes it as an argument.
 
-The quadratic fusion coupling tr(Y^T C Y) is linearized around the previous
-iterate Q by the bound
+The quadratic fusion coupling tr(Y'^T C Y') is linearized around the current
+iterate Y by the bound
 
-    tr(Y^T C Y) <= 2*omega*d - 2 tr(Y^T (omega I - C) Q) - tr(Q^T C Q),
+    tr(Y'^T C Y') <= 2*omega*d - 2 tr(Y'^T (omega I - C) Y) - tr(Y^T C Y),
 
-valid for column-orthonormal Y and Q with omega at least the top eigenvalue
-of C. Minimizing the surrogate is maximizing tr(Y^T D) for the assembled D,
-solved exactly by the SVD. Since D has zero column sums whenever W and Q do
+valid for column-orthonormal Y' and Y with omega at least the top eigenvalue
+of C. Minimizing the surrogate is maximizing tr(Y'^T D) for the assembled D,
+solved exactly by the SVD. Since D has zero column sums whenever W and Y do
 (each g_l sums to 0 and C annihilates the ones vector), the centering
 constraint propagates through the Procrustes solve by induction.
 
 Every edge sum goes through the graph's gather and scatter operators, so an
-inner iteration costs O(m d) beyond its SVD. inner_admm forms the edge
-differences of Y once per Y update and hands them to the V step and the
-next assemble_D (whose Q is that Y), and forms the residual V - (y_i - y_j)
-once per V update for the Lambda step and the Lagrangian. The Lagrangian
-takes the row norms of V from the V step's shrinkage and forms its two
-residual sums as dot products of the flattened arrays.
+inner iteration costs O(m d) beyond its SVD. inner_admm alone forms the
+per-edge arrays and hands each step the ones it reads: the edge differences
+of Y, once per Y update, to the V step and the next assemble_D; the residual
+V - (y_i - y_j), once per V update, to the Lambda step and the Lagrangian;
+and the row norms of V, which the V step returns, to the Lagrangian.
 
 The (m, d) edge arrays (differences, V, Lambda and every per-edge
 temporary) are held in Fortran order, so each coordinate is one contiguous
@@ -73,23 +72,21 @@ class Carry:
 class ScoringState:
     """Mutable state of the inner loop.
 
-    V and Lambda rows align with the graph's edge order. Q is the expansion
-    point of the current majorizer, the Y of the previous iteration: the
-    steps point it at that Y object itself, not at a copy.
+    V and Lambda rows align with the graph's edge order. Y is also the
+    expansion point of the next Y step's majorizer.
 
     A step returns new arrays and writes into none it was handed: it
     replaces Y, V and Lambda, and no later step overwrites the arrays in
-    carry. Three things rest on that rule: the solver keeps the accepted Y
-    itself as its rollback snapshot, Q shares Y's array, and carry (set by
-    inner_admm) is valid exactly while Y and V are the objects it was
-    computed at. Code that sets Y or V to another array, a copy included,
-    thereby makes the next inner_admm call recompute its set-up.
+    carry. Two things rest on that rule: the solver keeps the accepted Y
+    itself as its rollback snapshot, and carry (set by inner_admm) is valid
+    exactly while Y and V are the objects it was computed at. Code that sets
+    Y or V to another array, a copy included, thereby makes the next
+    inner_admm call recompute its set-up.
     """
 
     Y: np.ndarray
     V: np.ndarray
     Lambda: np.ndarray
-    Q: np.ndarray
     inner_objective: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
@@ -103,7 +100,7 @@ def init_state(Y0, graph: FusionGraph) -> ScoringState:
     Y = check_matrix(Y0, "Y0").copy()
     V = edge_differences(Y, graph)
     Lam = np.zeros(V.shape, order="F")
-    return ScoringState(Y=Y, V=V, Lambda=Lam, Q=Y)
+    return ScoringState(Y=Y, V=V, Lambda=Lam)
 
 
 def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
@@ -111,22 +108,20 @@ def edge_differences(Y: np.ndarray, graph: FusionGraph) -> np.ndarray:
     return edge_gather(Y, graph.edges)
 
 
-def assemble_D(W, state: ScoringState, graph: FusionGraph, diffs=None) -> np.ndarray:
-    """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Q).
+def assemble_D(W, state: ScoringState, graph: FusionGraph, diffs) -> np.ndarray:
+    """D = 1/2 (W + sum_l g_l lambda_l^T + rho sum_l g_l v_l^T + 2 (omega I - C) Y).
 
-    With 2 C Q = rho sum_l g_l (q_i - q_j)^T (rho the graph's), all three
-    edge sums are one scatter:
-    D = 1/2 (W + 2 omega Q + sum_l g_l (lambda_l + rho v_l - rho (q_i - q_j))^T),
-    in O(m d). diffs, when given, are the edge differences of state.Q.
-    Nothing is checked here: inner_admm checks its inputs once, before its
-    loop.
+    The majorizer is expanded at Y = state.Y, and diffs are its edge
+    differences. With 2 C Y = rho sum_l g_l (y_i - y_j)^T (rho the graph's),
+    all three edge sums are one scatter:
+    D = 1/2 (W + 2 omega Y + sum_l g_l (lambda_l + rho v_l - rho (y_i - y_j))^T),
+    in O(m d). Nothing is checked here: inner_admm checks its inputs once,
+    before its loop.
     """
-    if diffs is None:
-        diffs = edge_differences(state.Q, graph)
     T = state.V * graph.rho
     T += state.Lambda
     T -= graph.rho * diffs
-    return 0.5 * (W + 2.0 * graph.omega * state.Q + edge_scatter(T, graph.edges, graph.n))
+    return 0.5 * (W + 2.0 * graph.omega * state.Y + edge_scatter(T, graph.edges, graph.n))
 
 
 def _complete_orthonormal(avoid: np.ndarray, cand: np.ndarray, need: int) -> np.ndarray:
@@ -171,12 +166,13 @@ def _complete_orthonormal(avoid: np.ndarray, cand: np.ndarray, need: int) -> np.
 
 
 def update_Y(state: ScoringState, D) -> ScoringState:
-    """Set Y to the Procrustes solution L R^T of the SVD of D, then Q <- Y.
+    """Set Y to the Procrustes solution L R^T of the SVD of D.
 
     If D is rank deficient (singular values at or below 1e-12 of the top
-    one), the unconstrained directions are filled from Q's columns mapped
-    through the deficient right-singular directions, re-orthonormalized and
-    kept orthogonal to the ones vector; a diagnostic warning is emitted.
+    one), the unconstrained directions are filled from the previous Y's
+    columns mapped through the deficient right-singular directions,
+    re-orthonormalized and kept orthogonal to the ones vector; a diagnostic
+    warning is emitted.
     """
     L, sigma, R = thin_svd(D)
     d = R.shape[0]
@@ -191,11 +187,10 @@ def update_Y(state: ScoringState, D) -> ScoringState:
         )
         state.degenerate_updates += 1
         Lg = L[:, :rank]
-        cand = state.Q @ R[:, rank:]
+        cand = state.Y @ R[:, rank:]
         E = _complete_orthonormal(Lg, cand, d - rank)
         Y = np.hstack([Lg, E]) @ R.T
     state.Y = Y
-    state.Q = Y
     return state
 
 
@@ -226,7 +221,7 @@ def _psi(graph: FusionGraph, gamma: float, rho: float, mode: str) -> np.ndarray:
 
 
 def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
-             mode: str, diffs=None, psi=None, norms_out=None) -> ScoringState:
+             mode: str, diffs=None, psi=None) -> np.ndarray:
     """Per-edge V step on 1/2 ||v - q_l||^2 + psi_l ||v||, psi_l = gamma * alpha_l / rho.
 
     Here q_l = y_i - y_j - lambda_l / rho. mode="paper" takes one
@@ -237,9 +232,8 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     makes this a descent step: it never raises the per-edge objective.
     mode="exact" jumps to the closed-form minimizer, the group soft
     threshold of q_l at psi_l. diffs, when given, are the edge differences
-    of state.Y; psi, when given, the thresholds _psi checked for mode;
-    norms_out, when given, an (m,) array that receives the row norms of
-    the new V (row_soft_threshold's).
+    of state.Y; psi, when given, the thresholds _psi checked for mode.
+    Returns the row norms of the new V (row_soft_threshold's).
     """
     if psi is None:
         psi = _psi(graph, gamma, rho, mode)
@@ -248,41 +242,32 @@ def update_V(state: ScoringState, graph: FusionGraph, gamma: float, rho: float,
     q = state.Lambda / rho
     np.subtract(diffs, q, out=q)
     if mode == "exact":
-        state.V = row_soft_threshold(q, psi, norms_out)
+        state.V, norms = row_soft_threshold(q, psi)
     else:
         s = state.V - psi[:, None] * (state.V - q)
-        state.V = row_soft_threshold(s, psi * psi, norms_out)
-    return state
+        state.V, norms = row_soft_threshold(s, psi * psi)
+    return norms
 
 
-def update_Lambda(state: ScoringState, graph: FusionGraph, resid=None) -> ScoringState:
-    """lambda_l <- lambda_l + rho (v_l - y_i + y_j), rho the graph's.
-
-    resid, when given, is state.V minus the edge differences of state.Y.
-    """
-    if resid is None:
-        resid = state.V - edge_differences(state.Y, graph)
+def update_Lambda(state: ScoringState, graph: FusionGraph, resid) -> ScoringState:
+    """lambda_l <- lambda_l + rho (v_l - y_i + y_j), rho the graph's; resid
+    is state.V minus the edge differences of state.Y."""
     state.Lambda = state.Lambda + graph.rho * resid
     return state
 
 
 def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
-                         gamma: float, resid=None, v_norms=None) -> float:
+                         gamma: float, resid, v_norms) -> float:
     """Value of the scoring subproblem's augmented Lagrangian.
 
     1/2 ||Y - W||_F^2 + gamma sum_l alpha_l ||v_l||
     + sum_l lambda_l^T (v_l - y_i + y_j) + rho/2 sum_l ||v_l - y_i + y_j||^2,
-    rho the graph's.
-    resid, when given, is state.V minus the edge differences of state.Y;
-    v_norms, when given, the row norms of state.V. The two residual sums
+    rho the graph's. resid is state.V minus the edge differences of
+    state.Y, and v_norms the row norms of state.V. The two residual sums
     are dot products over the flattened arrays.
     """
     diff = state.Y - W
     val = 0.5 * float(np.sum(diff * diff))
-    if resid is None:
-        resid = state.V - edge_differences(state.Y, graph)
-    if v_norms is None:
-        v_norms = row_norms(state.V)
     r = resid.ravel(order="F")
     val += gamma * float(graph.alpha @ v_norms)
     val += float(state.Lambda.ravel(order="F") @ r)
@@ -314,7 +299,6 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
     if state.V.shape[0] != graph.m or state.Lambda.shape[0] != graph.m:
         raise ValueError("V/Lambda rows do not align with the graph edge list")
     psi = _psi(graph, gamma, graph.rho, v_mode)
-    state.Q = state.Y
     carry = state.carry
     if carry is not None and carry.holds(state, graph):
         diffs, resid, v_norms = carry.diffs, carry.resid, carry.v_norms
@@ -322,19 +306,17 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         diffs = edge_differences(state.Y, graph)
         resid = np.subtract(state.V, diffs, order="F")
         v_norms = row_norms(state.V)
-    L_prev = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
+    L_prev = augmented_lagrangian(W, state, graph, gamma, resid, v_norms)
     state.inner_objective = [L_prev]
     state.converged = False
     state.iterations = 0
     for _ in range(int(max_inner)):
-        update_Y(state, assemble_D(W, state, graph, diffs=diffs))
+        update_Y(state, assemble_D(W, state, graph, diffs))
         diffs = edge_gather(state.Y, graph.edges)
-        v_norms = np.empty(graph.m)
-        update_V(state, graph, gamma, graph.rho, mode=v_mode, diffs=diffs, psi=psi,
-                 norms_out=v_norms)
+        v_norms = update_V(state, graph, gamma, graph.rho, mode=v_mode, diffs=diffs, psi=psi)
         resid = state.V - diffs
-        update_Lambda(state, graph, resid=resid)
-        L_new = augmented_lagrangian(W, state, graph, gamma, resid=resid, v_norms=v_norms)
+        update_Lambda(state, graph, resid)
+        L_new = augmented_lagrangian(W, state, graph, gamma, resid, v_norms)
         state.inner_objective.append(L_new)
         state.iterations += 1
         if L_prev - L_new < epsilon:

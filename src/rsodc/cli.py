@@ -21,7 +21,7 @@ from typing import Callable
 import jsonschema
 import numpy as np
 
-from . import __version__, model_selection
+from . import __version__, fusion_graph, model_selection
 from ._io import (
     InputError,
     _labels,
@@ -35,7 +35,6 @@ from ._io import (
 from ._svg import scatter_svg
 from .core import ProblemInstance, child_seed, parallel_map
 from .datagen import SimulationConfig, generate
-from .fusion_graph import build_fusion_graph
 from .metrics import (
     adjusted_rand_index,
     anova_f_scores,
@@ -382,7 +381,7 @@ def _shared_graphs(args, datasets, variants) -> list:
     if (any("tau" in v or "delta" in v for v in fits)
             or not any(v.get("gamma", args.gamma) > 0.0 for v in fits)):
         return [None] * len(datasets)
-    return [build_fusion_graph(X, args.tau, min(args.delta, X.shape[0] - 1))
+    return [fusion_graph.compute_weights(X, args.tau, min(args.delta, X.shape[0] - 1))
             for X, _ in datasets]
 
 

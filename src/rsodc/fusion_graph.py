@@ -214,8 +214,8 @@ def compute_weights(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA) -> 
     underflows to zero are dropped.
     """
     X = check_matrix(X)
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not 0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     edges = knn_indicator(X, delta)
     # the squared lengths in blocks of edges, each gathered C-ordered, not by
     # edge_gather: np.sum over the rows of an F-ordered array adds their
@@ -248,12 +248,11 @@ def incidence_vector(l: tuple[int, int], n: int) -> np.ndarray:
 
 def build_quadratic(graph: FusionGraph, rho: float) -> FusionGraph:
     """A copy of graph bound to rho, sharing its arrays; graph is left as it was."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
     return replace(graph, rho=float(rho))
 
 
-def build_fusion_graph(X, tau: float = DEFAULT_TAU, delta: int = DEFAULT_DELTA,
-                       rho: float = 0.01) -> FusionGraph:
+def build_fusion_graph(X, tau: float, delta: int, rho: float) -> FusionGraph:
     """Convenience: weights, then the graph bound to rho."""
     return build_quadratic(compute_weights(X, tau, delta), rho)

@@ -101,12 +101,12 @@ def group_soft_threshold(phi, t: float) -> np.ndarray:
     return phi * (1.0 - t / norm)
 
 
-def row_soft_threshold(Z, t, norms_out=None) -> np.ndarray:
+def row_soft_threshold(Z, t) -> tuple[np.ndarray, np.ndarray]:
     """group_soft_threshold applied to every row of Z, row l at threshold t[l].
 
-    norms_out, when given, is an (m,) array that receives the row norms of
-    the result as each row's norm times its shrink factor: row_norms of the
-    result up to rounding, without a second pass over it.
+    Returns the rows and their norms, each the row's norm before shrinking
+    times its shrink factor: row_norms of the rows up to rounding, without a
+    second pass over them.
     """
     norms = row_norms(Z)
     # 1 - t / max(norms, tiny) where norms > t, else 0, in one array
@@ -114,9 +114,7 @@ def row_soft_threshold(Z, t, norms_out=None) -> np.ndarray:
     np.divide(t, scale, out=scale)
     np.subtract(1.0, scale, out=scale)
     scale[~(norms > t)] = 0.0
-    if norms_out is not None:
-        np.multiply(norms, scale, out=norms_out)
-    return Z * scale[:, None]
+    return Z * scale[:, None], np.multiply(norms, scale, out=norms)
 
 
 def _gram_objective(B, GB, design: StackedDesign, eta1: float) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ProblemInstance, ZERO_TOL, check_matrix, child_seed, parallel_map, thin_svd
-from .fusion_graph import build_fusion_graph, cap_delta
+from . import fusion_graph  # compute_weights looked up where a tracer wraps it
+from .fusion_graph import cap_delta
 from .solver import fit_rsodc, kmeans, outcome_counts, summed_outcome_counts
 
 PAPER_ETA1 = (0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -145,7 +146,7 @@ def stability_cv(X, k: int, grid: ParamGrid = None, seed: int = 0, threads: int 
     instances = [replace(base, eta1=eta1, gamma=gamma, rho=rho)
                  for eta1, gamma, rho in combos]
     fused = any(gamma > 0.0 for _, gamma, _ in combos)
-    graphs = [[build_fusion_graph(X[rows], base.tau, base.delta) if fused else None
+    graphs = [[fusion_graph.compute_weights(X[rows], base.tau, base.delta) if fused else None
                for rows in pair] for pair in splits]
 
     def split_kappa(item):
@@ -281,7 +282,7 @@ def select_k_by_gap(X, k_range=GAP_K_RANGE, mc_samples: int = GAP_MC_SAMPLES,
         # capped once here, so that the candidates' fits do not warn again
         delta = cap_delta(first.delta, n)
         instances = {k: replace(inst, delta=delta) for k, inst in instances.items()}
-        graph = build_fusion_graph(X, first.tau, delta, first.rho)
+        graph = fusion_graph.compute_weights(X, first.tau, delta)
 
     def fit_and_gap(k):
         fit = fit_rsodc(instances[k], graph, seed=child_seed(seed, 5, k))

@@ -172,8 +172,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     if fused:
         state = init_state(Y0, graph)
     else:
-        Y0 = Y0.copy()
-        state = ScoringState(Y=Y0, V=np.zeros((0, d)), Lambda=np.zeros((0, d)), Q=Y0)
+        state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)))
 
     # the fusion term changes only with Y: evaluated once per accepted Y, it
     # serves the B step's check and the next trace entry
@@ -213,7 +212,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         for attempt in range(SCORING_RETRIES + 1 if fused else 1):
             if attempt:
                 retries += 1
-                state.Y = state.Q = prev
+                state.Y = prev
             if fused:
                 inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
                            max_inner=instance.max_inner, v_mode=instance.v_mode)

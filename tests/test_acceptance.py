@@ -172,7 +172,7 @@ class _OneEdgeGraph:
 def _one_edge_state(y_i, y_j, v, lam):
     from rsodc.admm_scoring import ScoringState
     Y = np.vstack([y_i, y_j])
-    return ScoringState(Y=Y, V=v[None, :], Lambda=lam[None, :], Q=Y.copy())
+    return ScoringState(Y=Y, V=v[None, :], Lambda=lam[None, :])
 
 
 def test_exact_V_update_matches_numeric_minimizer():

@@ -18,8 +18,8 @@ from rsodc.admm_scoring import (
     update_V,
     update_Y,
 )
-from rsodc.core import thin_svd
-from rsodc.fusion_graph import build_fusion_graph, build_quadratic
+from rsodc.core import row_norms, thin_svd
+from rsodc.fusion_graph import build_fusion_graph, build_quadratic, edge_gather
 from rsodc.group_lasso import group_soft_threshold
 
 
@@ -43,7 +43,7 @@ def test_init_state_aligns_V_with_edges():
     state = init_state(Y0, graph)
     np.testing.assert_allclose(state.V, edge_differences(Y0, graph))
     np.testing.assert_array_equal(state.Lambda, np.zeros_like(state.V))
-    assert state.Q is not Y0
+    assert state.Y is not Y0
 
 
 def test_assemble_D_matches_dense_formula_and_zero_column_sums():
@@ -56,17 +56,17 @@ def test_assemble_D_matches_dense_formula_and_zero_column_sums():
     W = rng.standard_normal((n, d))
     W -= W.mean(axis=0, keepdims=True)
     rho = graph.rho
-    D = assemble_D(W, state, graph)
+    D = assemble_D(W, state, graph, edge_differences(state.Y, graph))
 
     expect = W.copy()
     for l, (i, j) in enumerate(graph.edges):
         g = np.zeros(n)
         g[i], g[j] = 1.0, -1.0
         expect += np.outer(g, state.Lambda[l] + rho * state.V[l])
-    expect += 2.0 * (graph.omega * state.Q - graph.C @ state.Q)
+    expect += 2.0 * (graph.omega * state.Y - graph.C @ state.Y)
     expect *= 0.5
     np.testing.assert_allclose(D, expect, atol=1e-12)
-    # centered W and Q give centered D, which carries the constraint forward
+    # centered W and Y give centered D, which carries the constraint forward
     np.testing.assert_allclose(D.sum(axis=0), 0.0, atol=1e-10)
 
 
@@ -174,7 +174,7 @@ def test_update_Lambda_accumulates_residual():
     state = init_state(Y, graph)
     state.V = rng.standard_normal(state.V.shape)
     resid = state.V - edge_differences(Y, graph)
-    update_Lambda(state, graph)
+    update_Lambda(state, graph, resid)
     np.testing.assert_allclose(state.Lambda, graph.rho * resid, atol=1e-12)
 
 
@@ -196,8 +196,9 @@ def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
     np.testing.assert_allclose(state.Y.T @ state.Y, np.eye(d), atol=1e-9)
     np.testing.assert_allclose(state.Y.sum(axis=0), 0.0, atol=1e-9)
     # the recorded Lagrangian matches a recomputation at the final state
+    resid = state.V - edge_differences(state.Y, graph)
     assert state.inner_objective[-1] == pytest.approx(
-        augmented_lagrangian(W, state, graph, 0.02), rel=1e-12)
+        augmented_lagrangian(W, state, graph, 0.02, resid, row_norms(state.V)), rel=1e-12)
 
 
 def _two_calls(rng, n=12, d=2):
@@ -206,6 +207,32 @@ def _two_calls(rng, n=12, d=2):
     W1 = 0.5 * _random_orthonormal_centered(rng, n, d)
     W2 = 0.5 * _random_orthonormal_centered(rng, n, d)
     return graph, Y0, W1, W2
+
+
+@pytest.mark.parametrize("v_mode", ["exact", "paper"])
+def test_one_inner_iteration_is_the_public_steps_on_the_arrays_each_reads(v_mode):
+    graph, Y0, W, _ = _two_calls(np.random.default_rng(14))
+    gamma = 0.02
+    state = init_state(Y0, graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        inner_admm(W, state, graph, gamma, max_inner=1, v_mode=v_mode)
+    assert state.iterations == 1
+
+    hand = init_state(Y0, graph)
+    diffs = edge_differences(hand.Y, graph)
+    start = augmented_lagrangian(W, hand, graph, gamma, hand.V - diffs, row_norms(hand.V))
+    update_Y(hand, assemble_D(W, hand, graph, diffs))
+    diffs = edge_gather(hand.Y, graph.edges)
+    v_norms = update_V(hand, graph, gamma, graph.rho, mode=v_mode, diffs=diffs)
+    resid = hand.V - diffs
+    update_Lambda(hand, graph, resid)
+    assert state.inner_objective == [
+        start, augmented_lagrangian(W, hand, graph, gamma, resid, v_norms)]
+    for name in ("Y", "V", "Lambda"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(hand, name), err_msg=name)
+    for name, array in (("diffs", diffs), ("resid", resid), ("v_norms", v_norms)):
+        np.testing.assert_array_equal(getattr(state.carry, name), array, err_msg=name)
 
 
 def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
@@ -255,7 +282,9 @@ def test_inner_admm_carries_its_set_up_across_gamma_rho_and_Lambda(monkeypatch):
     expect = init_state(Y0, graph)
     expect.Y, expect.V, expect.Lambda = state.Y, state.V, state.Lambda
     cases = [(0.03, build_quadratic(graph, 0.05)), (0.02, build_quadratic(graph, 0.06))]
-    starts = [augmented_lagrangian(W2, expect, bound, gamma) for gamma, bound in cases]
+    resid = state.V - edge_differences(state.Y, graph)
+    starts = [augmented_lagrangian(W2, expect, bound, gamma, resid, row_norms(state.V))
+              for gamma, bound in cases]
 
     gathers = []
     real = admm_scoring.edge_differences

@@ -76,6 +76,19 @@ def test_incidence_vector_values_and_validation():
         incidence_vector((3, 1), 5)
 
 
+def test_graph_builders_refuse_a_negative_or_non_finite_tau_or_rho():
+    # a NaN or infinite tau gave an edgeless graph, a NaN or infinite rho
+    # a NaN or infinite omega
+    X = np.random.default_rng(0).standard_normal((30, 4))
+    for tau in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            compute_weights(X, tau, 5)
+    graph = compute_weights(X, 0.1, 5)
+    for rho in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho must be finite and > 0"):
+            build_quadratic(graph, rho)
+
+
 def test_build_quadratic_matches_outer_product_sum():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((8, 2))

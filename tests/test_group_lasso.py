@@ -137,7 +137,7 @@ def test_row_soft_threshold_shrinks_each_row_like_the_vector_rule():
     Z = rng.standard_normal((40, 3))
     t = rng.uniform(0.0, 2.5, 40)
     Z[0] = 0.0
-    out = row_soft_threshold(Z, t)
+    out, _ = row_soft_threshold(Z, t)
     for row, thresh, got in zip(Z, t, out):
         np.testing.assert_allclose(got, group_soft_threshold(row, thresh), rtol=1e-14, atol=0)
     assert np.all(out[np.linalg.norm(Z, axis=1) <= t] == 0.0)

@@ -283,7 +283,7 @@ def test_zero_fusion_selection_builds_no_graph(monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("a gamma = 0 fit built a fusion graph")
 
-    monkeypatch.setattr(ms, "build_fusion_graph", no_graph)
+    monkeypatch.setattr(ms.fusion_graph, "compute_weights", no_graph)
     X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
     grid = ParamGrid(eta1_candidates=(1.0,), gamma_candidates=(0.0,),
                      rho_candidates=(0.01,), repeats=1)
@@ -301,7 +301,7 @@ def test_stability_cv_builds_one_graph_per_half(monkeypatch):
     import rsodc.model_selection as ms
     import rsodc.solver as solver
 
-    real_build = ms.build_fusion_graph
+    real_build = ms.fusion_graph.compute_weights
     builds = []
 
     def counting_build(*args, **kwargs):
@@ -311,7 +311,7 @@ def test_stability_cv_builds_one_graph_per_half(monkeypatch):
     def no_graph(*args, **kwargs):
         raise AssertionError("a fit built its own fusion graph")
 
-    monkeypatch.setattr(ms, "build_fusion_graph", counting_build)
+    monkeypatch.setattr(ms.fusion_graph, "compute_weights", counting_build)
     monkeypatch.setattr(solver, "build_fusion_graph", no_graph)
     X, _ = generate(SimulationConfig(n=48, p=20, k=3, theta=3.0, xi=0.5, seed=2))
     grid = ParamGrid(eta1_candidates=(1.0,), gamma_candidates=(0.001, 0.005),

@@ -52,7 +52,7 @@ def test_objective_reads_the_graph_the_fit_reads():
     # without a graph, the fusion term sums over the one the fit built
     assert objective(inst, fit.B_hat, fit.Y_hat) == fit.objective_trace[-1]
     for rows in (50, 70):
-        graph = build_fusion_graph(np.random.default_rng(rows).standard_normal((rows, 20)))
+        graph = compute_weights(np.random.default_rng(rows).standard_normal((rows, 20)))
         with pytest.raises(ValueError, match=f"on {rows} rows"):
             objective(inst, fit.B_hat, fit.Y_hat, graph)
 
@@ -240,14 +240,14 @@ def test_fit_rejects_a_graph_on_another_number_of_rows():
     X, _ = generate(SimulationConfig(n=70, p=20, k=3, theta=2.5, xi=0.5, seed=2))
     inst = ProblemInstance(data=X[:60], k=3, eta1=1.0, gamma=0.001, rho=0.01, max_outer=3)
     for rows in (50, 70):
-        graph = build_fusion_graph(X[:rows], tau=0.1, delta=5)
+        graph = compute_weights(X[:rows], tau=0.1, delta=5)
         with pytest.raises(ValueError, match=f"graph is on {rows} rows, the data has 60"):
             fit_rsodc(inst, graph, seed=0)
 
 
 def test_fit_on_a_given_graph_warns_of_a_capped_delta():
     X, _ = generate(SimulationConfig(n=24, p=20, k=3, theta=3.0, xi=0.5, seed=2))
-    graph = build_fusion_graph(X, tau=0.1, delta=23)
+    graph = compute_weights(X, tau=0.1, delta=23)
     for delta, count in ((30, 1), (23, 0)):
         inst = ProblemInstance(data=X, k=3, eta1=1.0, gamma=0.001, delta=delta, max_outer=3)
         with warnings.catch_warnings(record=True) as caught:
@@ -568,7 +568,7 @@ def test_last_trace_entry_is_the_loss_at_the_returned_estimates(gamma, rho, stat
     # rolled-back Y must come back with its own fusion term
     X, _ = generate(SimulationConfig(n=40, p=20, k=3, theta=2.2, xi=0.5, seed=0))
     inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=gamma, rho=rho)
-    graph = build_fusion_graph(X, inst.tau, inst.delta)
+    graph = compute_weights(X, inst.tau, inst.delta)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit = fit_rsodc(inst, graph, seed=0)
