@@ -21,6 +21,26 @@ V and Lambda, up to SCORING_RETRIES times; only when every retry is rejected
 does the fit end with status "stalled". Either way the trace is
 non-increasing. The fusion-free Procrustes step is deterministic given
 W, so it is not retried.
+
+After an accepted outer step the fit tries one extrapolated point. With z
+the whole iterate (B, Y, V, Lambda) and z_prev the one the previous step
+ended at before its own trial, the trial is z + beta (z - z_prev), its Y
+retracted to the polar factor of the extrapolated Y (centred, because both
+Ys are). The loss there is computed exactly, fusion term included, and the
+point is kept only if it lies below the step's loss; it then replaces the
+step's trace entry, so the trace stays non-increasing and equal to the loss
+at the estimates. beta starts at 1, doubles after a kept trial and returns
+to 1 after a rejected one; a trial rejected at a doubled length is followed
+by a step that makes none. V and Lambda move with Y: with them left where
+the ADMM stopped, the next scoring step pulls Y back and the fit stops
+early at a higher loss (and B alone would be undone by the next B step,
+the exact minimiser of its subproblem). A kept trial's edge differences,
+residual and V norms become the ADMM's carry. The stopping rule, max_outer,
+retries and rollback are unchanged; diagnostics["extrapolations"] counts
+the kept trials and timings["extrapolation"] their cost. Fused fits with
+the paper V step make no trials: its one proximal step leaves each scoring
+step far from the solution of its subproblem, and extrapolating along such
+steps ended most of them stalled at a higher loss.
 """
 
 from __future__ import annotations
@@ -32,9 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm_scoring import ScoringState, edge_differences, init_state, inner_admm, update_Y
-from .core import (ProblemInstance, as_generator, center_columns, check_matrix, row_norms,
-                   thin_svd)
+from .admm_scoring import (Carry, ScoringState, edge_differences, init_state, inner_admm,
+                           update_Y)
+from .core import (RANK_TOL, ProblemInstance, as_generator, center_columns, check_matrix,
+                   row_norms, thin_svd)
 from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
 from .group_lasso import MAX_SWEEPS, build_stacked, solve_B
 
@@ -146,6 +167,39 @@ def _singular_vectors(Xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, R
 
 
+def _extrapolated(z: np.ndarray, z0: np.ndarray, beta: float) -> np.ndarray:
+    """z + beta (z - z0), formed in one new array in z's memory order."""
+    out = np.subtract(z, z0)
+    out *= beta
+    out += z
+    return out
+
+
+def _polar_factor(A: np.ndarray):
+    """A (A^T A)^(-1/2), the orthonormal polar factor of A (L R^T for its
+    thin SVD A = L S R^T), formed through the d x d Gram; None when A^T A is
+    singular to working precision. Its columns are combinations of A's, so
+    a centred A gives a centred factor."""
+    lam, Q = np.linalg.eigh(A.T @ A)
+    if lam[0] <= RANK_TOL * lam[-1]:
+        return None
+    return A @ ((Q / np.sqrt(lam)) @ Q.T)
+
+
+def _trial_point(Xc, step, last, beta: float, graph, instance: ProblemInstance):
+    """The point step + beta (step - last) of the (B, Y, ...) tuples, Y
+    retracted to the polar factor of its extrapolation, as (B, Y, edge
+    differences of Y or None without fusion, fusion term, loss); None when
+    the extrapolated Y has no polar factor."""
+    Y = _polar_factor(_extrapolated(step[1], last[1], beta))
+    if Y is None:
+        return None
+    B = _extrapolated(step[0], last[0], beta)
+    diffs = edge_differences(Y, graph) if instance.gamma > 0.0 else None
+    fusion = _fusion_term(Y, graph, instance.gamma, diffs)
+    return B, Y, diffs, fusion, _objective_terms(Xc @ B, B, Y, fusion, instance)
+
+
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
     """Shared outer loop; method only labels the result.
 
@@ -154,7 +208,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     graph is not read.
     """
     t_start = time.perf_counter()
-    timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
+    timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0, "extrapolation": 0.0}
     fused = instance.gamma > 0.0
     if fused:
         built = graph is None
@@ -184,6 +238,13 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     retries = inner_capped = 0
     status = "max_outer"
     orth = center = 0.0
+    # the trial extrapolates along the move from last, the iterate the
+    # previous step ended at before its own trial, to this step's iterate
+    last = (B, state.Y, state.V, state.Lambda)
+    beta, trial, extrapolations = 1.0, True, 0
+    # the paper V step leaves each scoring step far from its subproblem's
+    # solution, and extrapolating along such steps ends fits stalled
+    extrapolate = not fused or instance.v_mode == "exact"
     for _ in range(instance.max_outer):
         t0 = time.perf_counter()
         # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
@@ -236,10 +297,32 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             warnings.warn("scoring step raised the loss; keeping the previous "
                           "iterate and stopping", RuntimeWarning)
             break
-        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
-        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
         fusion = fusion_y
         trace.append(obj_y)
+        step = (B, state.Y, state.V, state.Lambda)
+        if trial and extrapolate:
+            t0 = time.perf_counter()
+            point = _trial_point(Xc, step, last, beta, graph, instance)
+            kept = point is not None and point[-1] < trace[-1]
+            if kept:
+                extrapolations += 1
+                B, state.Y, diffs, fusion, trace[-1] = point
+                state.V, state.Lambda = (_extrapolated(z, z0, beta) for z, z0
+                                         in zip(step[2:], last[2:]))
+                if fused:
+                    # the next ADMM call starts from these instead of a gather
+                    state.carry = Carry(state.Y, state.V, graph.edges, diffs,
+                                        np.subtract(state.V, diffs, order="F"),
+                                        row_norms(state.V))
+            # a kept trial is tried again at twice the length; one rejected
+            # at a doubled length is followed by a step without a trial
+            beta, trial = (2.0 * beta if kept else 1.0), kept or beta == 1.0
+            timings["extrapolation"] += time.perf_counter() - t0
+        else:
+            trial = True
+        last = step
+        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
+        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
         if trace[-2] - trace[-1] < instance.epsilon:
             status = "converged"
             break
@@ -272,6 +355,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             "b_sweeps": b_sweeps,
             "b_steps_capped": b_sweeps.count(MAX_SWEEPS),
             "retries": retries,
+            "extrapolations": extrapolations,
             "inner_capped": inner_capped,
             "kmeans_inertia": centroids.inertia,
             **({"omega": graph.omega, "edges": graph.m} if fused else {"edges": 0}),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rsodc import cli, model_selection, solver
-from rsodc._io import write_matrix_csv
+from rsodc._io import write_json, write_matrix_csv
 from rsodc.cli import build_parser, main
 from rsodc.datagen import SimulationConfig, generate
 
@@ -367,7 +367,18 @@ def test_fit_manifest_times_the_graph_build(dataset, tmp_path):
     timings = payload["manifest"]["timings"]
     assert 0.0 < timings["graph"] <= timings["command"]
     assert payload["diagnostics"]["edges"] > 0 and payload["diagnostics"]["omega"] > 0
-    assert json.loads((plain / "fit.json").read_text())["manifest"]["timings"]["graph"] == 0.0
+    plain_payload = json.loads((plain / "fit.json").read_text())
+    assert plain_payload["manifest"]["timings"]["graph"] == 0.0
+    # both fits report their kept extrapolations, a count the schema declares
+    for written in (payload, plain_payload):
+        assert type(written["diagnostics"]["extrapolations"]) is int
+        assert written["diagnostics"]["extrapolations"] >= 0
+    jsonschema = pytest.importorskip("jsonschema")
+    for bad in (-1, 1.5):
+        diagnostics = dict(payload["diagnostics"], extrapolations=bad)
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(payload, diagnostics=diagnostics),
+                       "fit.schema.json")
 
 
 def test_simulate_rejects_a_weight_grid_without_usable_combos(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -8,9 +9,11 @@ import pytest
 
 import rsodc.fusion_graph as fusion_graph
 import rsodc.solver as solver
+from rsodc.admm_scoring import init_state, inner_admm
 from rsodc.core import ProblemInstance, center_columns
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import build_fusion_graph, build_quadratic, compute_weights
+from rsodc.group_lasso import build_stacked, solve_B
 from rsodc.solver import (
     fit_rsodc,
     fit_sodc,
@@ -612,6 +615,58 @@ def test_a_rejected_scoring_step_is_retried_from_the_accepted_iterate():
     # the fusion-free Procrustes step is never retried
     sodc = fit_sodc(inst, seed=29)
     assert sodc.diagnostics["retries"] == 0
+
+
+def _plain_outer_loop(inst, graph, seed, max_outer):
+    """The outer loop with no extrapolation: from the fit's start, one B step
+    and one inner ADMM call per step, until the loss falls by less than
+    epsilon. Returns the losses and whether that rule stopped the loop."""
+    Xc = center_columns(inst.data)
+    B = np.random.default_rng(seed).standard_normal((inst.p, inst.d))
+    state = init_state(np.linalg.svd(Xc, full_matrices=False)[0][:, :inst.d], graph)
+    trace = [objective(inst, B, state.Y, graph)]
+    for _ in range(max_outer):
+        design = build_stacked(state.Y, Xc, 2.0 * inst.eta2)
+        B, _ = solve_B(B, design, inst.eta1, epsilon=inst.epsilon)
+        inner_admm(Xc @ B, state, graph, inst.gamma, epsilon=inst.epsilon,
+                   max_inner=inst.max_inner, v_mode=inst.v_mode)
+        trace.append(objective(inst, B, state.Y, graph))
+        if trace[-2] - trace[-1] < inst.epsilon:
+            return trace, True
+    return trace, False
+
+
+def test_extrapolation_converges_where_the_plain_loop_crawls():
+    # the n=1000 draw of the benchmark's fit ladder: without extrapolation the
+    # fit ends max_outer after 100 steps, and the plain loop needs 118
+    X, _ = generate(SimulationConfig(n=1000, p=20, k=3, theta=2.2, xi=0.5, seed=1000))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.001, rho=0.01, tau=0.1,
+                           delta=25, v_mode="exact")
+    graph = build_fusion_graph(X, inst.tau, inst.delta, inst.rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_rsodc(inst, graph, seed=0)
+        plain, plain_converged = _plain_outer_loop(inst, graph, 0, max_outer=400)
+    assert fit.status == "converged" and fit.outer_iters < inst.max_outer
+    assert fit.diagnostics["extrapolations"] > 0
+    assert np.all(np.diff(fit.objective_trace) <= solver.OBJECTIVE_SLACK)
+    assert fit.objective_trace[-1] == objective(inst, fit.B_hat, fit.Y_hat, graph)
+    assert plain_converged and len(plain) - 1 > fit.outer_iters
+    assert fit.objective_trace[-1] <= plain[-1]
+    # the fusion-free fit extrapolates (B, Y) in the same loop
+    assert fit_sodc(inst, seed=0).diagnostics["extrapolations"] > 0
+
+
+def test_fits_with_the_paper_v_step_make_no_trials():
+    X, _ = generate(SimulationConfig(n=60, p=20, k=3, theta=2.2, xi=0.5, seed=1000))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.001, rho=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        exact = fit_rsodc(inst, seed=0)
+        paper = fit_rsodc(dataclasses.replace(inst, v_mode="paper"), seed=0)
+    assert exact.diagnostics["extrapolations"] > 0
+    assert paper.diagnostics["extrapolations"] == 0
+    assert paper.timings["extrapolation"] == 0.0
 
 
 def test_b_steps_at_the_sweep_cap_warn_and_are_counted():
