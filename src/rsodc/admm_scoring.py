@@ -78,10 +78,11 @@ class ScoringState:
     A step returns new arrays and writes into none it was handed: it
     replaces Y, V and Lambda, and no later step overwrites the arrays in
     carry. Two things rest on that rule: the solver keeps the accepted Y
-    itself as its rollback snapshot, and carry (set by inner_admm) is valid
-    exactly while Y and V are the objects it was computed at. Code that sets
-    Y or V to another array, a copy included, thereby makes the next
-    inner_admm call recompute its set-up.
+    itself as its rollback snapshot, and carry (set by inner_admm, or by
+    the caller through carry_at) is valid exactly while Y and V are the
+    objects it was computed at. Code that sets Y or V to another array, a
+    copy included, thereby makes the next inner_admm call recompute its
+    set-up unless it sets carry with carry_at.
     """
 
     Y: np.ndarray
@@ -275,6 +276,15 @@ def augmented_lagrangian(W, state: ScoringState, graph: FusionGraph,
     return val
 
 
+def carry_at(state: ScoringState, graph: FusionGraph, diffs=None) -> Carry:
+    """The Carry of state.Y and state.V on the graph's edges; diffs, when
+    given, are the edge differences of state.Y and are not formed again."""
+    if diffs is None:
+        diffs = edge_differences(state.Y, graph)
+    return Carry(state.Y, state.V, graph.edges, diffs,
+                 np.subtract(state.V, diffs, order="F"), row_norms(state.V))
+
+
 def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
                epsilon: float = 1e-6, max_inner: int = 1000,
                v_mode: str = "exact") -> ScoringState:
@@ -300,12 +310,9 @@ def inner_admm(W, state: ScoringState, graph: FusionGraph, gamma: float,
         raise ValueError("V/Lambda rows do not align with the graph edge list")
     psi = _psi(graph, gamma, graph.rho, v_mode)
     carry = state.carry
-    if carry is not None and carry.holds(state, graph):
-        diffs, resid, v_norms = carry.diffs, carry.resid, carry.v_norms
-    else:
-        diffs = edge_differences(state.Y, graph)
-        resid = np.subtract(state.V, diffs, order="F")
-        v_norms = row_norms(state.V)
+    if carry is None or not carry.holds(state, graph):
+        carry = carry_at(state, graph)
+    diffs, resid, v_norms = carry.diffs, carry.resid, carry.v_norms
     L_prev = augmented_lagrangian(W, state, graph, gamma, resid, v_norms)
     state.inner_objective = [L_prev]
     state.converged = False

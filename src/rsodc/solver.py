@@ -34,13 +34,18 @@ to 1 after a rejected one; a trial rejected at a doubled length is followed
 by a step that makes none. V and Lambda move with Y: with them left where
 the ADMM stopped, the next scoring step pulls Y back and the fit stops
 early at a higher loss (and B alone would be undone by the next B step,
-the exact minimiser of its subproblem). A kept trial's edge differences,
-residual and V norms become the ADMM's carry. The stopping rule, max_outer,
-retries and rollback are unchanged; diagnostics["extrapolations"] counts
-the kept trials and timings["extrapolation"] their cost. Fused fits with
-the paper V step make no trials: its one proximal step leaves each scoring
-step far from the solution of its subproblem, and extrapolating along such
-steps ended most of them stalled at a higher loss.
+the exact minimiser of its subproblem). A kept trial's edge differences
+become the ADMM's carry (admm_scoring.carry_at). The stopping rule,
+max_outer and the retries are unchanged. When every retry of the step after
+a kept trial is rejected, the fit goes back to that step's own iterate,
+fusion term and loss (which again becomes the last trace entry), takes the
+failed step again from there without a trial after it, and ends "stalled"
+only if that fails too, where the lower of the two failed attempts would
+have stopped; the first attempt's ADMM iterations count with the step
+taken again. diagnostics["extrapolations"] counts the kept
+trials. Fused fits with the paper V step make no trials: its one proximal
+step leaves each scoring step far from the solution of its subproblem, and
+extrapolating along such steps ended most of them stalled at a higher loss.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm_scoring import (Carry, ScoringState, edge_differences, init_state, inner_admm,
+from .admm_scoring import (ScoringState, carry_at, edge_differences, init_state, inner_admm,
                            update_Y)
 from .core import (RANK_TOL, ProblemInstance, as_generator, center_columns, check_matrix,
                    row_norms, thin_svd)
@@ -177,11 +182,14 @@ def _extrapolated(z: np.ndarray, z0: np.ndarray, beta: float) -> np.ndarray:
 
 def _polar_factor(A: np.ndarray):
     """A (A^T A)^(-1/2), the orthonormal polar factor of A (L R^T for its
-    thin SVD A = L S R^T), formed through the d x d Gram; None when A^T A is
-    singular to working precision. Its columns are combinations of A's, so
-    a centred A gives a centred factor."""
+    thin SVD A = L S R^T), formed through the d x d Gram; None when A is so
+    ill-conditioned that the Gram route, which loses orthonormality to
+    about eps cond(A)^2, would not give an orthonormal factor. Its columns
+    are combinations of A's, so a centred A gives a centred factor."""
     lam, Q = np.linalg.eigh(A.T @ A)
-    if lam[0] <= RANK_TOL * lam[-1]:
+    # lam holds squared singular values: a ratio of sqrt(RANK_TOL) caps
+    # cond(A) at RANK_TOL^(-1/4) = 1e3, so eps cond(A)^2 stays near 1e-10
+    if lam[0] <= np.sqrt(RANK_TOL) * lam[-1]:
         return None
     return A @ ((Q / np.sqrt(lam)) @ Q.T)
 
@@ -208,7 +216,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     graph is not read.
     """
     t_start = time.perf_counter()
-    timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0, "extrapolation": 0.0}
+    timings = {"graph": 0.0, "b_step": 0.0, "y_step": 0.0}
     fused = instance.gamma > 0.0
     if fused:
         built = graph is None
@@ -242,10 +250,17 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     # previous step ended at before its own trial, to this step's iterate
     last = (B, state.Y, state.V, state.Lambda)
     beta, trial, extrapolations = 1.0, True, 0
+    # after a kept trial: the step's own iterate, its fusion term and loss
+    undo = None
+    # while that step is taken again: where the failed attempt would stop
+    stop = None
+    # ADMM iterations of a step that failed after a kept trial, counted
+    # with the same step taken again
+    spent = 0
     # the paper V step leaves each scoring step far from its subproblem's
     # solution, and extrapolating along such steps ends fits stalled
     extrapolate = not fused or instance.v_mode == "exact"
-    for _ in range(instance.max_outer):
+    while len(trace) <= instance.max_outer:
         t0 = time.perf_counter()
         # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
         # so the subproblem gets 2 eta2 and the B step minimises the loss in B
@@ -269,7 +284,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         # a rejected ADMM call is retried from the accepted Y with the
         # advanced V and Lambda (restoring Y voids state.carry); the
         # Procrustes step is deterministic given W, so it runs once
-        calls = 0
+        calls, spent = spent, 0
         for attempt in range(SCORING_RETRIES + 1 if fused else 1):
             if attempt:
                 retries += 1
@@ -292,6 +307,19 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         timings["y_step"] += time.perf_counter() - t0
         if obj_y > ceiling:
             state.Y = prev
+            if undo is not None:
+                # every retry failed from the point the last trial left:
+                # go back to that step's own iterate and take this step
+                # again from there, without a trial after it
+                stop = (B, prev, obj_b)
+                B, state.Y, state.V, state.Lambda, fusion, trace[-1] = undo
+                undo, beta, trial = None, 1.0, False
+                b_sweeps.pop()
+                spent = inner_iterations.pop()
+                continue
+            if stop is not None and stop[-1] < obj_b:
+                # that failed too: stop where the lower loss was reached
+                B, state.Y, obj_b = stop
             trace.append(obj_b)
             status = "stalled"
             warnings.warn("scoring step raised the loss; keeping the previous "
@@ -300,24 +328,22 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
         fusion = fusion_y
         trace.append(obj_y)
         step = (B, state.Y, state.V, state.Lambda)
+        undo = stop = None
         if trial and extrapolate:
-            t0 = time.perf_counter()
             point = _trial_point(Xc, step, last, beta, graph, instance)
-            kept = point is not None and point[-1] < trace[-1]
+            kept = point is not None and point[-1] < obj_y
             if kept:
                 extrapolations += 1
+                undo = (*step, fusion, obj_y)
                 B, state.Y, diffs, fusion, trace[-1] = point
                 state.V, state.Lambda = (_extrapolated(z, z0, beta) for z, z0
                                          in zip(step[2:], last[2:]))
                 if fused:
-                    # the next ADMM call starts from these instead of a gather
-                    state.carry = Carry(state.Y, state.V, graph.edges, diffs,
-                                        np.subtract(state.V, diffs, order="F"),
-                                        row_norms(state.V))
+                    # the next ADMM call starts from diffs instead of a gather
+                    state.carry = carry_at(state, graph, diffs)
             # a kept trial is tried again at twice the length; one rejected
             # at a doubled length is followed by a step without a trial
             beta, trial = (2.0 * beta if kept else 1.0), kept or beta == 1.0
-            timings["extrapolation"] += time.perf_counter() - t0
         else:
             trial = True
         last = step

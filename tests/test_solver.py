@@ -666,7 +666,42 @@ def test_fits_with_the_paper_v_step_make_no_trials():
         paper = fit_rsodc(dataclasses.replace(inst, v_mode="paper"), seed=0)
     assert exact.diagnostics["extrapolations"] > 0
     assert paper.diagnostics["extrapolations"] == 0
-    assert paper.timings["extrapolation"] == 0.0
+
+
+def test_the_polar_factor_refuses_an_ill_conditioned_extrapolation():
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 3)))
+    # A = Q diag(s) has polar factor Q whatever the positive scales s
+    np.testing.assert_allclose(solver._polar_factor(Q * [1.0, 0.3, 0.01]), Q, atol=1e-12)
+    # through the Gram, cond(A) = 1e4 would lose orthonormality to about
+    # eps 1e8, which the loss check alone would not catch
+    assert solver._polar_factor(Q * [1.0, 0.3, 1e-4]) is None
+
+
+@pytest.mark.parametrize("draw, rho, seed, status, bound", [
+    # the scoring step after the kept trial of outer step 5 raises the loss
+    # in every retry; stopping there ended the fit stalled after 6 steps at
+    # loss 8.154, while taken again from the step's own iterate it succeeds
+    (3007, 0.1, 7, "converged", 1.93),
+    # taken again, the step fails once more; the fit then stops where the
+    # attempt from the trial's point would have (7.883), not at the 8.248
+    # of the second attempt
+    (3012, 0.01, 12, "stalled", 7.9),
+])
+def test_a_step_failing_after_a_kept_trial_is_taken_again_without_it(
+        draw, rho, seed, status, bound):
+    X, _ = generate(SimulationConfig(n=30, p=100, k=3, theta=2.2, xi=0.5, seed=draw))
+    inst = ProblemInstance(data=X, k=3, eta1=2.5, gamma=0.5, rho=rho, tau=0.01,
+                           v_mode="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_rsodc(inst, seed=seed)
+    assert fit.status == status
+    assert fit.objective_trace[-1] < bound
+    assert fit.diagnostics["extrapolations"] > 0
+    assert np.all(np.diff(fit.objective_trace) <= solver.OBJECTIVE_SLACK)
+    assert fit.objective_trace[-1] == objective(inst, fit.B_hat, fit.Y_hat)
+    # the failed step's work is counted with the step taken again
+    assert len(fit.inner_iterations) == len(fit.diagnostics["b_sweeps"]) == fit.outer_iters
 
 
 def test_b_steps_at_the_sweep_cap_warn_and_are_counted():
