@@ -233,6 +233,8 @@ def cmd_select_k(args) -> int:
         "k_candidates": curve.k_candidates,
         "gap": curve.gap,
         "se": curve.se,
+        # the manifest's restarts cluster the data, these each reference draw
+        "reference_restarts": model_selection.reference_restarts(args.restarts),
         # one entry per candidate, in k_candidates order
         "status": [fits[k].status for k in curve.k_candidates],
         "outer_iters": [fits[k].outer_iters for k in curve.k_candidates],
@@ -571,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=model_selection.GAP_MC_SAMPLES,
                    help="reference draws per candidate")
     p.add_argument("--restarts", type=int, default=model_selection.GAP_RESTARTS,
-                   help="k-means restarts inside the gap computation")
+                   help="k-means restarts on the data inside the gap computation; "
+                        "each reference draw takes min(RESTARTS, "
+                        f"{model_selection.GAP_REF_RESTARTS})")
     p.add_argument("--no-header", action="store_true")
     _add_solver(p)
     _add_common(p, parallel=True)

@@ -27,11 +27,14 @@ PAPER_RHO = (0.01, 0.03, 0.05, 0.07, 0.1)
 GAP_K_RANGE = range(2, 10)
 GAP_MC_SAMPLES = 100
 GAP_RESTARTS = 10
+# Restarts per reference draw, at most the data's: they only lower the
+# optimisation bias of E*[log W_k], which moves every k's gap alike.
+GAP_REF_RESTARTS = 3
 
 DISPERSION_FLOOR = 1e-12
 
 # Bound on restarts * n * k, the distance entries held per set, summed over
-# the point sets the gap statistic stacks into one k-means call.
+# the reference draws the gap statistic stacks into one k-means call.
 GAP_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -186,6 +189,11 @@ def choose_k_from_curve(k_candidates, gap, se) -> int:
     return ks[int(np.argmax(gap))]
 
 
+def reference_restarts(restarts: int) -> int:
+    """k-means restarts per gap reference draw when the data takes `restarts`."""
+    return min(restarts, GAP_REF_RESTARTS)
+
+
 def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int = 0,
                   restarts: int = GAP_RESTARTS, reference: str = "uniform") -> GapCurve:
     """Gap curve of a point set over candidate cluster counts.
@@ -196,9 +204,11 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
     squares, floored at 1e-12 before the log. se(k) is the reference
     standard deviation scaled by sqrt(1 + 1/mc_samples). Each k draws its
     own references from the streams (seed, 8, k, b), so the values for one
-    k do not depend on which other candidates are in k_range. The data and
-    its draws go to k-means in stacks of up to GAP_BLOCK_ELEMENTS //
-    (restarts n k) sets, seeded from (seed, 7, k) and (seed, 9, k, b).
+    k do not depend on which other candidates are in k_range. The data
+    goes to k-means alone with `restarts` restarts, seeded from (seed, 7, k).
+    The draws take reference_restarts(restarts) restarts each and go in
+    stacks of up to GAP_BLOCK_ELEMENTS // (that count n k) sets, seeded from
+    (seed, 9, k, b).
     """
     P = check_matrix(points, "points")
     n, p = P.shape
@@ -227,21 +237,22 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
         ref = lo + rng_b.random((n, p)) * (hi - lo)
         return ref @ R.T + mu if reference == "pca" else ref
 
+    def log_dispersion(sets, k, tries, seeds):
+        _, centroids = kmeans(sets, k, tries, seeds)
+        return np.log(np.maximum(centroids.inertia, DISPERSION_FLOOR))
+
+    ref_restarts = reference_restarts(restarts)
     gap = np.empty(len(ks))
     se = np.empty(len(ks))
     for idx, k in enumerate(ks):
-        per_block = max(1, GAP_BLOCK_ELEMENTS // (restarts * n * k))
-        logs = []
-        # b = -1 is the data, b >= 0 the reference draws
-        for start in range(-1, mc_samples, per_block):
+        per_block = max(1, GAP_BLOCK_ELEMENTS // (ref_restarts * n * k))
+        refs = []
+        for start in range(0, mc_samples, per_block):
             block = range(start, min(start + per_block, mc_samples))
-            stack = np.stack([P if b < 0 else draw(k, b) for b in block])
-            seeds = [child_seed(seed, 7, k) if b < 0 else child_seed(seed, 9, k, b)
-                     for b in block]
-            _, centroids = kmeans(stack, k, restarts, seeds)
-            logs.extend(np.log(np.maximum(centroids.inertia, DISPERSION_FLOOR)))
-        refs = np.array(logs[1:])
-        gap[idx] = refs.mean() - logs[0]
+            refs.extend(log_dispersion(np.stack([draw(k, b) for b in block]), k,
+                                       ref_restarts, [child_seed(seed, 9, k, b) for b in block]))
+        refs = np.array(refs)
+        gap[idx] = refs.mean() - log_dispersion(P, k, restarts, child_seed(seed, 7, k))
         se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
     return GapCurve(k_candidates=ks, gap=gap, se=se,
                     chosen_k=choose_k_from_curve(ks, gap, se))

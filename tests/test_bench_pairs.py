@@ -2,8 +2,10 @@
 
 A gain counts only with a committed BENCH_<workload>_before.json and
 BENCH_<workload>_after.json, each the run.json of one untraced
-`perfbench/run.py` run. This test only reads those files and
-BENCHMARK.json.
+`perfbench/run.py` run. A tagged pair,
+BENCH_<workload>_<tag>_{before,after}.json, lets several claims on one
+workload keep their own pairs; every pair, tagged or not, is checked alike.
+This test only reads those files and BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -16,17 +18,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-RECORD = re.compile(r"BENCH_(?P<workload>.+)_(?P<side>before|after)\.json")
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+RECORD = re.compile(r"BENCH_(?P<workload>{})(?:_(?P<tag>[A-Za-z0-9-]+))?"
+                    r"_(?P<side>before|after)\.json".format("|".join(map(re.escape, WORKLOADS))))
 
 
 def _records() -> dict:
-    """{workload: {side: record}} for every committed BENCH_*.json that is
-    named like one."""
+    """{pair name: {side: record}} for every committed BENCH_*.json that is
+    named like one; a pair is named by its workload, then its tag if any."""
     found = {}
     for path in sorted(ROOT.glob("BENCH_*.json")):
         match = RECORD.fullmatch(path.name)
         if match:
-            found.setdefault(match["workload"], {})[match["side"]] = json.loads(path.read_text())
+            pair = "_".join(filter(None, (match["workload"], match["tag"])))
+            found.setdefault(pair, {})[match["side"]] = json.loads(path.read_text())
     return found
 
 
@@ -36,11 +41,11 @@ def test_committed_bench_records_are_named_by_workload_and_side():
     assert [name for name in names if not RECORD.fullmatch(name)] == []
 
 
-@pytest.mark.parametrize("workload", sorted(_records()))
-def test_bench_records_form_a_comparable_pair(workload):
-    pair = _records()[workload]
-    assert set(pair) == {"before", "after"}, f"{workload} has only {sorted(pair)}"
-    assert workload in {w["name"] for w in BENCHMARK["workloads"]}
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_bench_records_form_a_comparable_pair(name):
+    pair = _records()[name]
+    assert set(pair) == {"before", "after"}, f"{name} has only {sorted(pair)}"
+    workload = RECORD.fullmatch(f"BENCH_{name}_before.json")["workload"]
     before, after = pair["before"], pair["after"]
     for record in (before, after):
         assert record["workload"] == workload

@@ -181,6 +181,14 @@ def test_select_k_outputs_curve(dataset, tmp_path):
     chosen = json.loads((out / "chosen_k.json").read_text())
     assert chosen["chosen_k"] in (2, 3, 4)
     assert len(chosen["gap"]) == 3
+    # the data takes --restarts, each reference draw at most GAP_REF_RESTARTS
+    assert chosen["manifest"]["config"]["restarts"] == model_selection.GAP_RESTARTS
+    assert chosen["reference_restarts"] == model_selection.GAP_REF_RESTARTS
+    jsonschema = pytest.importorskip("jsonschema")
+    for bad in (0, 1.5):
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(chosen, reference_restarts=bad),
+                       "chosen_k.schema.json")
     assert _run(["select-k", str(data), "--k-min", "5", "--k-max", "4"]) == 2
 
 

@@ -143,9 +143,11 @@ def test_gap_statistic_validation_and_determinism():
 
 
 # The gap statistic as it ran before the draws were stacked: one k-means
-# call for the data and one for each reference draw.
+# call for the data with `restarts` restarts and one for each reference draw
+# with at most GAP_REF_RESTARTS.
 
 def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
+    ref_restarts = min(restarts, model_selection.GAP_REF_RESTARTS)
     n, p = P.shape
     if reference == "pca":
         mu = P.mean(axis=0)
@@ -155,7 +157,7 @@ def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
         frame = P
     lo, hi = frame.min(axis=0), frame.max(axis=0)
 
-    def log_dispersion(points, k, stream):
+    def log_dispersion(points, k, restarts, stream):
         _, centroids = kmeans(points, k, restarts=restarts, seed=stream)
         return float(np.log(max(centroids.inertia, 1e-12)))
 
@@ -167,8 +169,8 @@ def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
             draw = lo + rng_b.random((n, p)) * (hi - lo)
             if reference == "pca":
                 draw = draw @ R.T + mu
-            refs[b] = log_dispersion(draw, k, child_seed(seed, 9, k, b))
-        gap[idx] = refs.mean() - log_dispersion(P, k, child_seed(seed, 7, k))
+            refs[b] = log_dispersion(draw, k, ref_restarts, child_seed(seed, 9, k, b))
+        gap[idx] = refs.mean() - log_dispersion(P, k, restarts, child_seed(seed, 7, k))
         se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
     return gap, se
 
@@ -190,12 +192,39 @@ def test_stacked_gap_statistic_equals_one_call_per_draw(reference, monkeypatch):
                           reference=reference)
     gap, se = _reference_gap(P, ks, mc_samples, 4, restarts, reference)
     assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
-    # the data and its draws went to k-means in blocks of whole stacks
-    per_block = [model_selection.GAP_BLOCK_ELEMENTS // (restarts * n * k) for k in ks]
-    blocks = [-(-(mc_samples + 1) // b) for b in per_block]
-    assert len(calls) == sum(blocks) and all(b > 1 for b in blocks)
-    assert all(len(shape) == 3 and shape[1:] == (n, 3) for shape in calls)
-    assert sum(shape[0] for shape in calls) == len(ks) * (mc_samples + 1)
+    # the data went to k-means alone, one call per k, and its draws in
+    # blocks of whole stacks sized by the draws' restarts
+    ref_restarts = min(restarts, model_selection.GAP_REF_RESTARTS)
+    per_block = [model_selection.GAP_BLOCK_ELEMENTS // (ref_restarts * n * k) for k in ks]
+    blocks = [-(-mc_samples // b) for b in per_block]
+    assert len(calls) == len(ks) + sum(blocks) and max(blocks) > 1
+    stacks = [shape for shape in calls if len(shape) == 3]
+    assert [shape for shape in calls if len(shape) != 3] == [(n, 3)] * len(ks)
+    assert all(shape[1:] == (n, 3) for shape in stacks)
+    assert sum(shape[0] for shape in stacks) == len(ks) * mc_samples
+
+
+@pytest.mark.parametrize("restarts, data_restarts, draw_restarts", [
+    (1, 1, 1),
+    (None, model_selection.GAP_RESTARTS, model_selection.GAP_REF_RESTARTS),
+])
+def test_gap_statistic_clusters_the_data_and_its_draws_with_their_own_restarts(
+        restarts, data_restarts, draw_restarts, monkeypatch):
+    rng = np.random.default_rng(8)
+    P = rng.standard_normal((60, 3)) + 3.0 * rng.integers(2, size=(60, 1))
+    calls = []
+
+    def counted(points, k, restarts, seeds):
+        calls.append((np.ndim(points), restarts))
+        return kmeans(points, k, restarts, seeds)
+
+    monkeypatch.setattr(model_selection, "kmeans", counted)
+    options = {} if restarts is None else {"restarts": restarts}
+    curve = gap_statistic(P, [2, 3], mc_samples=10, seed=2, **options)
+    gap, se = _reference_gap(P, [2, 3], 10, 2, data_restarts, "uniform")
+    assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
+    assert {r for ndim, r in calls if ndim == 2} == {data_restarts}
+    assert {r for ndim, r in calls if ndim == 3} == {draw_restarts}
 
 
 def test_gap_statistic_memory_is_one_block():
