@@ -77,8 +77,8 @@ class ScoringState:
 
     A step returns new arrays and writes into none it was handed: it
     replaces Y, V and Lambda, and no later step overwrites the arrays in
-    carry. Two things rest on that rule: the solver keeps the accepted Y
-    itself as its rollback snapshot, and carry (set by inner_admm, or by
+    carry. Two things rest on that rule: the solver's iterates hold these
+    arrays themselves, without copies, and carry (set by inner_admm, or by
     the caller through carry_at) is valid exactly while Y and V are the
     objects it was computed at. Code that sets Y or V to another array, a
     copy included, thereby makes the next inner_admm call recompute its

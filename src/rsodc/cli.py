@@ -58,6 +58,12 @@ def _threads(args) -> int:
     return args.threads
 
 
+def _check_seed(args) -> None:
+    """--seed; numpy seeds its generators from non-negative integers only."""
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _parse_list(text: str, flag: str, cast) -> tuple:
     try:
         values = tuple(cast(tok) for tok in text.split(",") if tok.strip())
@@ -623,6 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_seed(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,38 +14,31 @@ comparison method.
 The reported loss keeps the 1/2 on the fit term; the B subproblem works with
 the same scaling and a ridge weight of 2 eta2, so with Y fixed it is the
 reported loss in B and its coordinate sweeps never raise it. ADMM
-iterations carry no such guarantee, hence the guarded
-acceptance below: a scoring step that raises the loss beyond 1e-8 is rolled
-back to the accepted Y and the ADMM runs again from there with its advanced
-V and Lambda, up to SCORING_RETRIES times; only when every retry is rejected
-does the fit end with status "stalled". Either way the trace is
-non-increasing. The fusion-free Procrustes step is deterministic given
-W, so it is not retried.
+iterations carry no such guarantee, hence the guarded acceptance below.
 
-After an accepted outer step the fit tries one extrapolated point. With z
-the whole iterate (B, Y, V, Lambda) and z_prev the one the previous step
-ended at before its own trial, the trial is z + beta (z - z_prev), its Y
-retracted to the polar factor of the extrapolated Y (centred, because both
-Ys are). The loss there is computed exactly, fusion term included, and the
-point is kept only if it lies below the step's loss; it then replaces the
-step's trace entry, so the trace stays non-increasing and equal to the loss
-at the estimates. beta starts at 1, doubles after a kept trial and returns
-to 1 after a rejected one; a trial rejected at a doubled length is followed
-by a step that makes none. V and Lambda move with Y: with them left where
-the ADMM stopped, the next scoring step pulls Y back and the fit stops
-early at a higher loss (and B alone would be undone by the next B step,
-the exact minimiser of its subproblem). A kept trial's edge differences
-become the ADMM's carry (admm_scoring.carry_at). The stopping rule,
-max_outer and the retries are unchanged. When every retry of the step after
-a kept trial is rejected, the fit goes back to that step's own iterate,
-fusion term and loss (which again becomes the last trace entry), takes the
-failed step again from there without a trial after it, and ends "stalled"
-only if that fails too, where the lower of the two failed attempts would
-have stopped; the first attempt's ADMM iterations count with the step
-taken again. diagnostics["extrapolations"] counts the kept
-trials. Fused fits with the paper V step make no trials: its one proximal
-step leaves each scoring step far from the solution of its subproblem, and
-extrapolating along such steps ended most of them stalled at a higher loss.
+The loop runs over Iterates, immutable points (B, Y, V, Lambda) with their
+fusion term and loss; the trace holds the loss of each point it moves to.
+_outer_step takes the B step and the scoring step from one. A scoring step
+that raises the loss beyond 1e-8 is retried from the same Y, up to
+SCORING_RETRIES times, and the fit ends "stalled" only when every retry is
+rejected, so the trace is non-increasing.
+
+After an accepted step, _trial extrapolates the whole iterate along the move
+from the previous step, z + beta (z - z_prev), and keeps the point only if
+its exact loss lies below the step's. beta starts at 1, doubles after a kept
+trial and returns to 1 after a rejected one; a trial rejected at a doubled
+length is followed by a step that makes none. V and Lambda move with Y: with
+them left where the ADMM stopped, the next scoring step pulls Y back and the
+fit stops early at a higher loss (and B alone would be undone by the next B
+step, the exact minimiser of its subproblem). Fused fits with the paper V
+step make no trials; diagnostics["extrapolations"] counts the kept trials.
+
+The loop keeps the iterates it may go back to: after a kept trial, the
+step's own iterate. When every retry of the next step fails, the fit goes
+back one entry and takes the step again from there without a trial after
+it; it ends "stalled" only if that fails too, where the lower of the two
+failed attempts stopped. The stopping rule, max_outer and the retries are
+the same with or without trials.
 """
 
 from __future__ import annotations
@@ -57,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm_scoring import (ScoringState, carry_at, edge_differences, init_state, inner_admm,
-                           update_Y)
+from .admm_scoring import (Carry, ScoringState, carry_at, edge_differences, init_state,
+                           inner_admm, update_Y)
 from .core import (RANK_TOL, ProblemInstance, as_generator, center_columns, check_matrix,
                    row_norms, thin_svd)
 from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
@@ -194,18 +187,111 @@ def _polar_factor(A: np.ndarray):
     return A @ ((Q / np.sqrt(lam)) @ Q.T)
 
 
-def _trial_point(Xc, step, last, beta: float, graph, instance: ProblemInstance):
-    """The point step + beta (step - last) of the (B, Y, ...) tuples, Y
-    retracted to the polar factor of its extrapolation, as (B, Y, edge
-    differences of Y or None without fusion, fusion term, loss); None when
-    the extrapolated Y has no polar factor."""
-    Y = _polar_factor(_extrapolated(step[1], last[1], beta))
+@dataclass(frozen=True)
+class Iterate:
+    """A point of the outer loop: B, Y, the ADMM's V and Lambda (no rows
+    without fusion), the fusion term at Y, the loss at (B, Y) and the Carry
+    the next ADMM call may start from. No step writes into its arrays."""
+
+    B: np.ndarray
+    Y: np.ndarray
+    V: np.ndarray
+    Lambda: np.ndarray
+    fusion: float
+    loss: float
+    carry: Carry | None = None
+
+
+class _Loop:
+    """What one fit's outer steps read, and the counts its FitResult reports."""
+
+    def __init__(self, instance: ProblemInstance, graph, Xc: np.ndarray, timings: dict):
+        self.instance, self.graph, self.Xc, self.timings = instance, graph, Xc, timings
+        self.fused = instance.gamma > 0.0
+        self.gram = Xc.T @ Xc
+        self.b_sweeps, self.inner_iterations = [], []
+        self.retries = self.inner_capped = self.degenerate_updates = self.extrapolations = 0
+        # the largest departures from Y^T Y = I and Y^T 1 = 0 of the Ys visited
+        self.orth = self.center = 0.0
+
+
+def _outer_step(loop: _Loop, it: Iterate, calls: int = 0) -> tuple[Iterate | None, bool]:
+    """The B step and the scoring step from it: the next Iterate and True
+    when a scoring attempt ends at most OBJECTIVE_SLACK above the lower of
+    it.loss and the loss after the B step; if every attempt is rejected,
+    the failed attempt's point (B after the B step, it.Y) and False; if the
+    B step raises the loss, None and False. calls are the ADMM iterations of
+    a failed attempt at this step, which count with it."""
+    instance, Xc = loop.instance, loop.Xc
+    t0 = time.perf_counter()
+    # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
+    # so the subproblem gets 2 eta2 and the B step minimises the loss in B
+    design = build_stacked(it.Y, Xc, 2.0 * instance.eta2, gram=loop.gram)
+    B, sweeps = solve_B(it.B, design, instance.eta1, epsilon=instance.epsilon)
+    loop.b_sweeps.append(sweeps)
+    W = Xc @ B
+    loop.timings["b_step"] += time.perf_counter() - t0
+    obj_b = _objective_terms(W, B, it.Y, it.fusion, instance)
+    if obj_b > it.loss + OBJECTIVE_SLACK:
+        return None, False
+
+    t0 = time.perf_counter()
+    ceiling = min(obj_b, it.loss) + OBJECTIVE_SLACK
+    # a rejected ADMM call is retried from it.Y with the advanced V and
+    # Lambda (restoring Y voids state.carry); the Procrustes step is
+    # deterministic given W, so it runs once
+    state = ScoringState(Y=it.Y, V=it.V, Lambda=it.Lambda, carry=it.carry)
+    for attempt in range(SCORING_RETRIES + 1 if loop.fused else 1):
+        if attempt:
+            loop.retries += 1
+            state.Y = it.Y
+        if loop.fused:
+            inner_admm(W, state, loop.graph, instance.gamma, epsilon=instance.epsilon,
+                       max_inner=instance.max_inner, v_mode=instance.v_mode)
+            calls += state.iterations
+            loop.inner_capped += not state.converged
+        else:
+            update_Y(state, W)
+            calls += 1
+        # a fused call leaves the edge differences of the Y it ends at
+        fusion = _fusion_term(state.Y, loop.graph, instance.gamma,
+                              state.carry.diffs if loop.fused else None)
+        loss = _objective_terms(W, B, state.Y, fusion, instance)
+        if not loss > ceiling:
+            break
+    loop.inner_iterations.append(calls)
+    loop.degenerate_updates += state.degenerate_updates
+    loop.timings["y_step"] += time.perf_counter() - t0
+    if loss > ceiling:
+        return Iterate(B, it.Y, it.V, it.Lambda, it.fusion, obj_b), False
+    return Iterate(B, state.Y, state.V, state.Lambda, fusion, loss, state.carry), True
+
+
+def _trial(loop: _Loop, step: Iterate, last: Iterate, beta: float) -> Iterate | None:
+    """The point step + beta (step - last) of the whole iterate, Y retracted
+    to the polar factor of its extrapolation, if its loss lies below the
+    step's; None if it does not, if the extrapolated Y has no polar factor,
+    and in fused fits with the paper V step."""
+    instance, graph = loop.instance, loop.graph
+    if loop.fused and instance.v_mode != "exact":
+        # the paper V step leaves each scoring step far from its subproblem's
+        # solution, and extrapolating along such steps ends fits stalled
+        return None
+    Y = _polar_factor(_extrapolated(step.Y, last.Y, beta))
     if Y is None:
         return None
-    B = _extrapolated(step[0], last[0], beta)
-    diffs = edge_differences(Y, graph) if instance.gamma > 0.0 else None
+    B = _extrapolated(step.B, last.B, beta)
+    diffs = edge_differences(Y, graph) if loop.fused else None
     fusion = _fusion_term(Y, graph, instance.gamma, diffs)
-    return B, Y, diffs, fusion, _objective_terms(Xc @ B, B, Y, fusion, instance)
+    loss = _objective_terms(loop.Xc @ B, B, Y, fusion, instance)
+    if not loss < step.loss:
+        return None
+    loop.extrapolations += 1
+    V = _extrapolated(step.V, last.V, beta)
+    Lam = _extrapolated(step.Lambda, last.Lambda, beta)
+    # the next ADMM call starts from diffs instead of a gather
+    carry = carry_at(ScoringState(Y=Y, V=V, Lambda=Lam), graph, diffs) if loop.fused else None
+    return Iterate(B, Y, V, Lam, fusion, loss, carry)
 
 
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
@@ -225,130 +311,62 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             timings["graph"] = time.perf_counter() - t_start
     rng = as_generator(seed)
     Xc = center_columns(instance.data)
-    p, d = instance.p, instance.d
-
-    B = rng.standard_normal((p, d))
+    d = instance.d
+    B = rng.standard_normal((instance.p, d))
     # start from the leading left singular vectors of Xc
     Y0 = _singular_vectors(Xc)[0][:, :d]
-
-    if fused:
-        state = init_state(Y0, graph)
-    else:
-        state = ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d)))
-
-    # the fusion term changes only with Y: evaluated once per accepted Y, it
-    # serves the B step's check and the next trace entry
-    fusion = _fusion_term(state.Y, graph, instance.gamma)
-    trace = [_objective_terms(Xc @ B, B, state.Y, fusion, instance)]
-    gram = Xc.T @ Xc
-    inner_iterations: list = []
-    b_sweeps: list = []
-    retries = inner_capped = 0
+    start = (init_state(Y0, graph) if fused else
+             ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d))))
+    # the fusion term changes only with Y: evaluated once per Y, it serves
+    # the B step's check and the loss
+    fusion = _fusion_term(start.Y, graph, instance.gamma)
+    current = Iterate(B, start.Y, start.V, start.Lambda, fusion,
+                      _objective_terms(Xc @ B, B, start.Y, fusion, instance))
+    loop = _Loop(instance, graph, Xc, timings)
+    trace = [current.loss]
     status = "max_outer"
-    orth = center = 0.0
-    # the trial extrapolates along the move from last, the iterate the
-    # previous step ended at before its own trial, to this step's iterate
-    last = (B, state.Y, state.V, state.Lambda)
-    beta, trial, extrapolations = 1.0, True, 0
-    # after a kept trial: the step's own iterate, its fusion term and loss
-    undo = None
-    # while that step is taken again: where the failed attempt would stop
-    stop = None
-    # ADMM iterations of a step that failed after a kept trial, counted
-    # with the same step taken again
-    spent = 0
-    # the paper V step leaves each scoring step far from its subproblem's
-    # solution, and extrapolating along such steps ends fits stalled
-    extrapolate = not fused or instance.v_mode == "exact"
+    # the trial extrapolates along the move from last, the previous step's
+    # iterate before its own trial, to this step's (with beta 0 it makes
+    # none); back holds the iterates the loop may go back to
+    last, beta, back = current, 1.0, []
     while len(trace) <= instance.max_outer:
-        t0 = time.perf_counter()
-        # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
-        # so the subproblem gets 2 eta2 and the B step minimises the loss in B
-        design = build_stacked(state.Y, Xc, 2.0 * instance.eta2, gram=gram)
-        B_new, sweeps = solve_B(B, design, instance.eta1, epsilon=instance.epsilon)
-        b_sweeps.append(sweeps)
-        W = Xc @ B_new
-        timings["b_step"] += time.perf_counter() - t0
-        obj_b = _objective_terms(W, B_new, state.Y, fusion, instance)
-        if obj_b > trace[-1] + OBJECTIVE_SLACK:
+        point, accepted = _outer_step(loop, current)
+        if point is not None and not accepted and back:
+            # every retry failed from the trial's point: go back one entry and
+            # take the step again without a trial after it; the failed
+            # attempt's ADMM iterations count with it, its B sweeps do not
+            failed, current, beta = point, back.pop(), 0.0
+            trace[-1] = current.loss
+            loop.b_sweeps.pop()
+            point, accepted = _outer_step(loop, current, loop.inner_iterations.pop())
+            if point is not None and not accepted and failed.loss < point.loss:
+                # that failed too: stop where the lower loss was reached
+                point = failed
+        if point is None:
             status = "stalled"
             warnings.warn("B step raised the loss; stopping", RuntimeWarning)
             break
-        B = B_new
-
-        t0 = time.perf_counter()
-        # the scoring steps replace Y rather than write into it, so the
-        # accepted array is the rollback snapshot
-        prev = state.Y
-        ceiling = min(obj_b, trace[-1]) + OBJECTIVE_SLACK
-        # a rejected ADMM call is retried from the accepted Y with the
-        # advanced V and Lambda (restoring Y voids state.carry); the
-        # Procrustes step is deterministic given W, so it runs once
-        calls, spent = spent, 0
-        for attempt in range(SCORING_RETRIES + 1 if fused else 1):
-            if attempt:
-                retries += 1
-                state.Y = prev
-            if fused:
-                inner_admm(W, state, graph, instance.gamma, epsilon=instance.epsilon,
-                           max_inner=instance.max_inner, v_mode=instance.v_mode)
-                calls += state.iterations
-                inner_capped += not state.converged
-            else:
-                update_Y(state, W)
-                calls += 1
-            # a fused call leaves the edge differences of the Y it ends at
-            fusion_y = _fusion_term(state.Y, graph, instance.gamma,
-                                    state.carry.diffs if fused else None)
-            obj_y = _objective_terms(W, B, state.Y, fusion_y, instance)
-            if not obj_y > ceiling:
-                break
-        inner_iterations.append(calls)
-        timings["y_step"] += time.perf_counter() - t0
-        if obj_y > ceiling:
-            state.Y = prev
-            if undo is not None:
-                # every retry failed from the point the last trial left:
-                # go back to that step's own iterate and take this step
-                # again from there, without a trial after it
-                stop = (B, prev, obj_b)
-                B, state.Y, state.V, state.Lambda, fusion, trace[-1] = undo
-                undo, beta, trial = None, 1.0, False
-                b_sweeps.pop()
-                spent = inner_iterations.pop()
-                continue
-            if stop is not None and stop[-1] < obj_b:
-                # that failed too: stop where the lower loss was reached
-                B, state.Y, obj_b = stop
-            trace.append(obj_b)
-            status = "stalled"
+        if not accepted:
+            current, status = point, "stalled"
+            trace.append(current.loss)
             warnings.warn("scoring step raised the loss; keeping the previous "
                           "iterate and stopping", RuntimeWarning)
             break
-        fusion = fusion_y
-        trace.append(obj_y)
-        step = (B, state.Y, state.V, state.Lambda)
-        undo = stop = None
-        if trial and extrapolate:
-            point = _trial_point(Xc, step, last, beta, graph, instance)
-            kept = point is not None and point[-1] < obj_y
-            if kept:
-                extrapolations += 1
-                undo = (*step, fusion, obj_y)
-                B, state.Y, diffs, fusion, trace[-1] = point
-                state.V, state.Lambda = (_extrapolated(z, z0, beta) for z, z0
-                                         in zip(step[2:], last[2:]))
-                if fused:
-                    # the next ADMM call starts from diffs instead of a gather
-                    state.carry = carry_at(state, graph, diffs)
-            # a kept trial is tried again at twice the length; one rejected
-            # at a doubled length is followed by a step without a trial
-            beta, trial = (2.0 * beta if kept else 1.0), kept or beta == 1.0
+        trial = _trial(loop, point, last, beta) if beta else None
+        if trial is None:
+            # after a rejection at a doubled length the next step makes no trial
+            current = last = point
+            back, beta = [], (1.0 if beta <= 1.0 else 0.0)
         else:
-            trial = True
-        last = step
-        orth = max(orth, float(np.max(np.abs(state.Y.T @ state.Y - np.eye(d)))))
-        center = max(center, float(np.max(np.abs(state.Y.sum(axis=0)))))
+            # the trial, tried next at twice the length, takes the step's place;
+            # the step is kept without its carry (rebinding point frees it), so
+            # a step taken again from it starts from a set-up formed anew
+            current = trial
+            last = point = dataclasses.replace(point, carry=None)
+            back, beta = [last], 2.0 * beta
+        trace.append(current.loss)
+        loop.orth = max(loop.orth, float(np.max(np.abs(current.Y.T @ current.Y - np.eye(d)))))
+        loop.center = max(loop.center, float(np.max(np.abs(current.Y.sum(axis=0)))))
         if trace[-2] - trace[-1] < instance.epsilon:
             status = "converged"
             break
@@ -357,33 +375,22 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
                       RuntimeWarning)
 
     t0 = time.perf_counter()
-    embedding = Xc @ B
+    embedding = Xc @ current.B
     labels, centroids = kmeans(embedding, instance.k, restarts=20, seed=rng)
     timings["kmeans"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
     return FitResult(
-        B_hat=B,
-        Y_hat=state.Y,
-        embedding=embedding,
-        labels=labels,
-        objective_trace=np.asarray(trace),
-        outer_iters=len(trace) - 1,
-        status=status,
-        method=method,
-        timings=timings,
-        inner_iterations=inner_iterations,
+        B_hat=current.B, Y_hat=current.Y, embedding=embedding, labels=labels,
+        objective_trace=np.asarray(trace), outer_iters=len(trace) - 1, status=status,
+        method=method, timings=timings, inner_iterations=loop.inner_iterations,
         diagnostics={
-            "max_orth_violation": orth,
-            "max_center_violation": center,
-            "degenerate_updates": state.degenerate_updates,
-            "convergence_count": len(trace) - 1 + sum(inner_iterations),
-            "b_sweeps": b_sweeps,
-            "b_steps_capped": b_sweeps.count(MAX_SWEEPS),
-            "retries": retries,
-            "extrapolations": extrapolations,
-            "inner_capped": inner_capped,
-            "kmeans_inertia": centroids.inertia,
+            "max_orth_violation": loop.orth, "max_center_violation": loop.center,
+            "degenerate_updates": loop.degenerate_updates,
+            "convergence_count": len(trace) - 1 + sum(loop.inner_iterations),
+            "b_sweeps": loop.b_sweeps, "b_steps_capped": loop.b_sweeps.count(MAX_SWEEPS),
+            "retries": loop.retries, "extrapolations": loop.extrapolations,
+            "inner_capped": loop.inner_capped, "kmeans_inertia": centroids.inertia,
             **({"omega": graph.omega, "edges": graph.m} if fused else {"edges": 0}),
         },
     )
@@ -641,15 +648,7 @@ def tandem_baseline(X, k: int, seed=0) -> FitResult:
     labels, centroids = kmeans(scores, k, restarts=20, seed=seed)
     total = time.perf_counter() - t_start
     return FitResult(
-        B_hat=B,
-        Y_hat=L[:, :d],
-        embedding=scores,
-        labels=labels,
-        objective_trace=np.zeros(0),
-        outer_iters=0,
-        status="converged",
-        method="tandem",
-        timings={"total": total, "kmeans": total},
-        inner_iterations=[],
-        diagnostics={"kmeans_inertia": centroids.inertia},
-    )
+        B_hat=B, Y_hat=L[:, :d], embedding=scores, labels=labels,
+        objective_trace=np.zeros(0), outer_iters=0, status="converged", method="tandem",
+        timings={"total": total, "kmeans": total}, inner_iterations=[],
+        diagnostics={"kmeans_inertia": centroids.inertia})

@@ -200,8 +200,13 @@ def test_select_k_reports_each_candidate_fit(dataset, tmp_path):
         out = tmp_path / f"k{max_outer}"
         assert _run([*argv, "--max-outer", max_outer, "--out", str(out)]) == 0
         chosen = json.loads((out / "chosen_k.json").read_text())
-        _, curve, fits = model_selection.select_k_by_gap(
-            X, range(2, 5), mc_samples=5, seed=4, eta1=1.0, max_outer=int(max_outer))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, curve, fits = model_selection.select_k_by_gap(
+                X, range(2, 5), mc_samples=5, seed=4, eta1=1.0, max_outer=int(max_outer))
+        # each of the three fits warns when one outer iteration stops it
+        assert [str(w.message) for w in caught] == (
+            ["no convergence within max_outer = 1"] * 3 if max_outer == "1" else [])
         assert chosen["k_candidates"] == [2, 3, 4]
         assert chosen["status"] == [fits[k].status for k in (2, 3, 4)]
         assert chosen["outer_iters"] == [fits[k].outer_iters for k in (2, 3, 4)]
@@ -213,6 +218,19 @@ def test_select_k_reports_each_candidate_fit(dataset, tmp_path):
     short = json.loads((tmp_path / "k1" / "chosen_k.json").read_text())
     assert short["outer_iters"] == [1] * 3
     assert short["fits_stalled"] + short["fits_max_outer"] == 3
+
+
+@pytest.mark.parametrize("argv", [["fit", "{data}", "--k", "3"], ["tune", "{data}", "--k", "3"],
+                                  ["select-k", "{data}"], ["simulate", "--design", "1"]])
+def test_a_negative_seed_is_bad_input(argv, dataset, tmp_path, capsys):
+    # numpy seeds only from non-negative integers: the seed is checked
+    # before a command starts, so no worker fails on it and nothing is written
+    out = tmp_path / "out"
+    argv = [arg.format(data=dataset[0]) for arg in argv]
+    capsys.readouterr()
+    assert _run([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_design_1_table_shapes(tmp_path):
@@ -387,6 +405,17 @@ def test_fit_manifest_times_the_graph_build(dataset, tmp_path):
         with pytest.raises(jsonschema.ValidationError):
             write_json(tmp_path / "bad.json", dict(payload, diagnostics=diagnostics),
                        "fit.schema.json")
+    # so is a slip in the rest of the loop's bookkeeping, before anything is written
+    for key, bad in (("status", "done"), ("inner_iterations", [2, 0])):
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(payload, **{key: bad}), "fit.schema.json")
+    for key, bad in (("b_sweeps", [2, 0]), ("b_sweeps", [1.5]), ("degenerate_updates", -1),
+                     ("convergence_count", 1.5), ("edges", -1), ("omega", 0.0)):
+        diagnostics = dict(payload["diagnostics"], **{key: bad})
+        with pytest.raises(jsonschema.ValidationError):
+            write_json(tmp_path / "bad.json", dict(payload, diagnostics=diagnostics),
+                       "fit.schema.json")
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_simulate_rejects_a_weight_grid_without_usable_combos(tmp_path):

@@ -175,7 +175,7 @@ def test_write_json_bytes_equal_the_indented_json_encoder(tmp_path, n, d):
         payload[key] = np.resize(edge, (n, d)) * (1.0 if key == "y_hat" else -1.0)
     payload["b_hat"] = np.resize(edge[::-1], (4, d))
     payload["labels"] = np.array([2 ** 62, 2 ** 63 - 1, 1, 7, 3])[:n]
-    payload["diagnostics"] = {"omega": -0.0, "huge": 10 ** 30, "tiny": 5e-324,
+    payload["diagnostics"] = {"zero": -0.0, "huge": 10 ** 30, "tiny": 5e-324,
                               "nested": {"b": [1, {"c": []}], "a": {}}, "text": "a\nbé"}
     path = tmp_path / "fit.json"
     write_json(path, payload, "fit.schema.json")
