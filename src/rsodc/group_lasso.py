@@ -118,9 +118,12 @@ def row_soft_threshold(Z, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_objective(B, GB, design: StackedDesign, eta1: float) -> float:
-    fit = design.yy - 2.0 * np.sum(B * design.H) + np.sum(B * GB)
-    fit += design.eta2 * np.sum(B * B)
-    return float(0.5 * fit + eta1 * np.sum(np.linalg.norm(B, axis=1)))
+    # np.add.reduce is np.sum, and sqrt of the row sums np.linalg.norm(B,
+    # axis=1), without their Python wrappers: once per sweep, same bits
+    sq = B * B
+    fit = design.yy - 2.0 * np.add.reduce(B * design.H, None) + np.add.reduce(B * GB, None)
+    fit += design.eta2 * np.add.reduce(sq, None)
+    return float(0.5 * fit + eta1 * np.add.reduce(np.sqrt(np.add.reduce(sq, 1)), None))
 
 
 def subproblem_objective(B, design: StackedDesign, eta1: float) -> float:
@@ -145,7 +148,9 @@ def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
 
     with S the group soft threshold, keeping G B up to date after each
     group; a group whose norm falls below ZERO_TOL snaps to zero, and a group
-    with G_jj + eta2 = 0 stays zero. Sweeps stop when one lowers the
+    with G_jj + eta2 = 0 stays zero. A zero group is first tested with one
+    subtraction and one dot product, ||H_j - (G B)_j|| <= eta1, and left
+    at zero when that holds. Sweeps stop when one lowers the
     subproblem objective by less than epsilon, or after max_sweeps with a
     warning. A sweep costs O(p^2 d) whatever n is; the exact update needs no
     step size.
@@ -158,16 +163,30 @@ def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
         raise ValueError(f"B must be {p} x {d}, got {B.shape}")
     if eta1 < 0:
         raise ValueError("eta1 must be >= 0")
-    G, H = design.G, design.H
-    scale = design.col_norms_sq + design.eta2
+    eta1 = float(eta1)
+    G = design.G
     GB = G @ B
     obj = _gram_objective(B, GB, design, eta1)
+    # per-group row views and Python-float constants, formed once per call;
+    # GB and B change in place, so their row views stay current
+    B_rows, H_rows, GB_rows = list(B), list(design.H), list(GB)
+    diag = G.diagonal().tolist()
+    scale = (design.col_norms_sq + design.eta2).tolist()
     # whether beta_j is all zero: a zero group that stays zero changes nothing
     zero = [not bj.any() for bj in B]
+    r = np.empty(d)
     for sweep in range(1, int(max_sweeps) + 1):
         for j in range(p):
-            bj = B[j]
-            c = H[j] - GB[j] + G[j, j] * bj
+            if zero[j]:
+                # c = H_j - (G B)_j; a finite ||c|| at or below eta1 (or a
+                # zero scale) leaves the group zero, and anything else
+                # takes the full visit below, which raises on a non-finite c
+                np.subtract(H_rows[j], GB_rows[j], out=r)
+                norm = math.sqrt(np.dot(r, r))
+                if norm < math.inf and (norm <= eta1 or scale[j] <= 0.0):
+                    continue
+            bj = B_rows[j]
+            c = H_rows[j] - GB_rows[j] + diag[j] * bj
             norm = math.sqrt(float(c @ c))
             # beta_j = c * shrink, of norm (||c|| - eta1) / scale_j
             shrink = (1.0 - eta1 / norm) / scale[j] if norm > eta1 and scale[j] > 0.0 else 0.0
@@ -179,9 +198,9 @@ def solve_B(B, design: StackedDesign, eta1: float, *, epsilon: float = 1e-6,
                 continue
             bj_new = c * shrink
             delta = bj_new - bj
-            if delta.any():
+            if np.count_nonzero(delta):
                 GB += G[:, j, None] * delta
-                B[j] = bj_new
+                bj[:] = bj_new
                 zero[j] = shrink == 0.0
         new_obj = _gram_objective(B, GB, design, eta1)
         if obj - new_obj < epsilon:

@@ -202,13 +202,15 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
     draws from the bounding box of `points` (reference="pca" aligns the box
     with the principal axes first); W is the k-means within-cluster sum of
     squares, floored at 1e-12 before the log. se(k) is the reference
-    standard deviation scaled by sqrt(1 + 1/mc_samples). Each k draws its
-    own references from the streams (seed, 8, k, b), so the values for one
-    k do not depend on which other candidates are in k_range. The data
-    goes to k-means alone with `restarts` restarts, seeded from (seed, 7, k).
-    The draws take reference_restarts(restarts) restarts each and go in
-    stacks of up to GAP_BLOCK_ELEMENTS // (that count n k) sets, seeded from
-    (seed, 9, k, b).
+    standard deviation scaled by sqrt(1 + 1/mc_samples). The data goes to
+    k-means alone with `restarts` restarts, seeded from (seed, 7, k). Each k
+    has one stream per role: its reference draws come from (seed, 8, k), in
+    draw order, and their k-means++ seeding from (seed, 9, k), in draw
+    order too, reference_restarts(restarts) restarts each. The draws go to
+    k-means in stacks of up to GAP_BLOCK_ELEMENTS // (that count n k) sets;
+    each stream is read in the order a one-call-per-draw loop reads it, so
+    the block size changes no value, and the values for one k do not
+    depend on which other candidates are in k_range.
     """
     P = check_matrix(points, "points")
     n, p = P.shape
@@ -228,14 +230,8 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
         _, _, R = thin_svd(P - mu)
         frame = (P - mu) @ R
     else:
-        mu, R = None, None
         frame = P
     lo, hi = frame.min(axis=0), frame.max(axis=0)
-
-    def draw(k, b):
-        rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
-        ref = lo + rng_b.random((n, p)) * (hi - lo)
-        return ref @ R.T + mu if reference == "pca" else ref
 
     def log_dispersion(sets, k, tries, seeds):
         _, centroids = kmeans(sets, k, tries, seeds)
@@ -246,11 +242,15 @@ def gap_statistic(points, k_range, mc_samples: int = GAP_MC_SAMPLES, seed: int =
     se = np.empty(len(ks))
     for idx, k in enumerate(ks):
         per_block = max(1, GAP_BLOCK_ELEMENTS // (ref_restarts * n * k))
+        draws = np.random.default_rng(child_seed(seed, 8, k))
+        seeding = np.random.default_rng(child_seed(seed, 9, k))
         refs = []
         for start in range(0, mc_samples, per_block):
-            block = range(start, min(start + per_block, mc_samples))
-            refs.extend(log_dispersion(np.stack([draw(k, b) for b in block]), k,
-                                       ref_restarts, [child_seed(seed, 9, k, b) for b in block]))
+            size = min(per_block, mc_samples - start)
+            sets = lo + draws.random((size, n, p)) * (hi - lo)
+            if reference == "pca":
+                sets = sets @ R.T + mu
+            refs.extend(log_dispersion(sets, k, ref_restarts, [seeding] * size))
         refs = np.array(refs)
         gap[idx] = refs.mean() - log_dispersion(P, k, restarts, child_seed(seed, 7, k))
         se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)

@@ -564,7 +564,9 @@ def kmeans(points, k: int, restarts: int = 20, seed=0, max_iter: int = 300):
     with a sequence of S seeds. Each set takes its restarts' k-means++
     draws from its own generator, in restart order, one integers(n) and one
     random(k - 1) call per restart, and every restart of every set is
-    seeded in one vectorised pass (_seed_restarts). Then every restart of
+    seeded in one vectorised pass (_seed_restarts). The seeds may all be
+    one Generator: the sets then draw from it in set order, as S calls on
+    one set each with that Generator would. Then every restart of
     every set runs through one Lloyd loop over an (S R) x k x n distance
     array, each on its own set's points, and leaves the loop once its
     labels stop changing or after max_iter (at least 1) passes. Empty

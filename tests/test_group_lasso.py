@@ -223,3 +223,18 @@ def test_solve_B_skipping_zero_groups_matches_visiting_every_group():
             stayed += int(np.sum(~was & ~now))
             B = got
     assert entered > 0 and left > 0 and stayed > 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_B_raises_on_a_non_finite_update_of_a_zero_group(bad):
+    # a group that starts at zero takes the zero-group visit first; its
+    # non-finite c must raise there as it does for a nonzero group
+    rng = np.random.default_rng(15)
+    design = _random_design(rng, n=30, p=6, d=2)
+    j = 2
+    B = rng.standard_normal((6, 2))
+    B[j] = 0.0
+    design.H[j] = [bad, 0.0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError, match=rf"^non-finite update in group {j}$"):
+            solve_B(B, design, 0.5)

@@ -142,9 +142,9 @@ def test_gap_statistic_validation_and_determinism():
     assert c.gap.shape == (2,)
 
 
-# The gap statistic as it ran before the draws were stacked: one k-means
-# call for the data with `restarts` restarts and one for each reference draw
-# with at most GAP_REF_RESTARTS.
+# The gap statistic with one k-means call for the data with `restarts`
+# restarts and one for each reference draw with at most GAP_REF_RESTARTS;
+# each k's draws and their seeding read one stream each, in draw order.
 
 def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
     ref_restarts = min(restarts, model_selection.GAP_REF_RESTARTS)
@@ -163,20 +163,23 @@ def _reference_gap(P, ks, mc_samples, seed, restarts, reference):
 
     gap, se = np.empty(len(ks)), np.empty(len(ks))
     for idx, k in enumerate(ks):
+        draws = np.random.default_rng(child_seed(seed, 8, k))
+        seeding = np.random.default_rng(child_seed(seed, 9, k))
         refs = np.empty(mc_samples)
         for b in range(mc_samples):
-            rng_b = np.random.default_rng(child_seed(seed, 8, k, b))
-            draw = lo + rng_b.random((n, p)) * (hi - lo)
+            draw = lo + draws.random((n, p)) * (hi - lo)
             if reference == "pca":
                 draw = draw @ R.T + mu
-            refs[b] = log_dispersion(draw, k, ref_restarts, child_seed(seed, 9, k, b))
+            refs[b] = log_dispersion(draw, k, ref_restarts, seeding)
         gap[idx] = refs.mean() - log_dispersion(P, k, restarts, child_seed(seed, 7, k))
         se[idx] = refs.std(ddof=0) * np.sqrt(1.0 + 1.0 / mc_samples)
     return gap, se
 
 
+@pytest.mark.parametrize("block_elements", [model_selection.GAP_BLOCK_ELEMENTS, 1])
 @pytest.mark.parametrize("reference", ["uniform", "pca"])
-def test_stacked_gap_statistic_equals_one_call_per_draw(reference, monkeypatch):
+def test_stacked_gap_statistic_equals_one_call_per_draw(reference, block_elements,
+                                                        monkeypatch):
     rng = np.random.default_rng(6)
     n, restarts, mc_samples, ks = 150, 5, 100, [1, 2, 4]
     centers = rng.standard_normal((3, 3)) * 4.0
@@ -188,14 +191,15 @@ def test_stacked_gap_statistic_equals_one_call_per_draw(reference, monkeypatch):
         return kmeans(points, *args, **kwargs)
 
     monkeypatch.setattr(model_selection, "kmeans", counted)
+    monkeypatch.setattr(model_selection, "GAP_BLOCK_ELEMENTS", block_elements)
     curve = gap_statistic(P, ks, mc_samples=mc_samples, seed=4, restarts=restarts,
                           reference=reference)
     gap, se = _reference_gap(P, ks, mc_samples, 4, restarts, reference)
     assert np.array_equal(curve.gap, gap) and np.array_equal(curve.se, se)
     # the data went to k-means alone, one call per k, and its draws in
-    # blocks of whole stacks sized by the draws' restarts
+    # blocks of whole stacks sized by the draws' restarts, at least one a block
     ref_restarts = min(restarts, model_selection.GAP_REF_RESTARTS)
-    per_block = [model_selection.GAP_BLOCK_ELEMENTS // (ref_restarts * n * k) for k in ks]
+    per_block = [max(1, block_elements // (ref_restarts * n * k)) for k in ks]
     blocks = [-(-mc_samples // b) for b in per_block]
     assert len(calls) == len(ks) + sum(blocks) and max(blocks) > 1
     stacks = [shape for shape in calls if len(shape) == 3]
