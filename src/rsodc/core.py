@@ -21,7 +21,7 @@ RANK_TOL = 1e-12
 # Entries of an estimated coefficient row below this are treated as exact zeros.
 ZERO_TOL = 1e-12
 
-# Lanczos steps taken by top_eigenvalue_sym.
+# Most Lanczos steps taken by top_eigenvalue_sym.
 LANCZOS_STEPS = 64
 
 # Defaults of the fusion weights: kernel decay rate and neighbor count.
@@ -104,8 +104,10 @@ def row_norms(Z: np.ndarray) -> np.ndarray:
     equals np.linalg.norm bit for bit; from d = 8 numpy sums pairwise and
     the two differ in the last bit (up to 3.1e-16 relative, measured).
     """
-    sq = np.zeros(Z.shape[0])
-    for col in Z.T:
+    if Z.shape[1] == 0:
+        return np.zeros(Z.shape[0])
+    sq = Z[:, 0] * Z[:, 0]  # the sum's start: 0.0 + x is x, bit for bit
+    for col in Z.T[1:]:
         sq += col * col
     return np.sqrt(sq, out=sq)
 
@@ -128,11 +130,15 @@ def top_eigenvalue_sym(matvec, n: int) -> float:
     """Largest eigenvalue of a symmetric PSD operator C, given as the
     function v -> C v on length-n vectors.
 
-    Runs min(n, LANCZOS_STEPS) Lanczos steps with full reorthogonalization
-    from a fixed-seed Gaussian start and returns the top eigenvalue of the
-    tridiagonal matrix. When the steps span the whole space the value is
-    exact up to rounding; otherwise it is a Ritz value, never above the
-    true eigenvalue.
+    Runs at most min(n, LANCZOS_STEPS) Lanczos steps with full
+    reorthogonalization from a fixed-seed Gaussian start and returns the
+    top eigenvalue theta of the tridiagonal matrix T. Every fourth step it
+    stops once the top Ritz pair's residual bound beta |s_last| (the next
+    off-diagonal times the last entry of T's top eigenvector; Parlett, The
+    Symmetric Eigenvalue Problem) is at most 1e-12 theta. When the steps
+    span the whole space the value is exact up to rounding; otherwise it is
+    a Ritz value, never above the true eigenvalue. No rule on the change in
+    theta between steps is used: one stopped 2e-8 short of the eigenvalue.
     """
     if n < 1:
         raise ValueError(f"the operator's dimension n must be >= 1, got {n}")
@@ -154,10 +160,18 @@ def top_eigenvalue_sym(matvec, n: int) -> float:
         scale = max(scale, abs(diag[k]), off[k])
         if off[k] <= 1e-12 * scale:
             break  # the Krylov space is invariant: its eigenvalues are exact
+        # checking at every step cost more than it saved at n <= 1000
+        if k % 4 == 3:
+            theta, s = np.linalg.eigh(_tridiagonal(diag[:k + 1], off[:k]))
+            if off[k] * abs(s[-1, -1]) <= 1e-12 * theta[-1]:
+                return float(theta[-1])
         v = w / off[k]
-    size = k + 1
-    T = np.diag(diag[:size]) + np.diag(off[:size - 1], 1) + np.diag(off[:size - 1], -1)
-    return float(np.linalg.eigvalsh(T)[-1])
+    return float(np.linalg.eigvalsh(_tridiagonal(diag[:k + 1], off[:k]))[-1])
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with this diagonal and off-diagonal."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass

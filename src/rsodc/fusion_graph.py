@@ -10,17 +10,21 @@ A graph does not depend on rho: build_quadratic binds a rho to a copy, so
 one graph serves fits at any rho without being written to.
 
 The graph exists only as its edge list. Building it holds working blocks
-of about KNN_BLOCK_ELEMENTS doubles beyond the O(m) edge arrays, whatever
-n is: the kNN pairs come from blocks of KNN_BLOCK_ELEMENTS // n rows of the
-distance matrix (at least 1, at most n), and the weights from blocks of
-KNN_BLOCK_ELEMENTS // p edges. At n = 12 000, p = 20 and delta = 25,
-compute_weights peaks at 18 MB (tracemalloc), most of it the edge arrays
-and the Lanczos basis of lmax.
+of about KNN_BLOCK_ELEMENTS doubles beyond the O(m) edge arrays and two
+n x (p + 1) copies of the data, whatever n is: the kNN pairs come from
+blocks of KNN_BLOCK_ELEMENTS // n rows of the distance matrix (at least 1,
+at most n), and the weights from blocks of KNN_BLOCK_ELEMENTS // p edges.
+At n = 12 000, p = 20 and delta = 25, compute_weights peaks at 20 MB
+(tracemalloc), most of it the edge arrays, the Lanczos basis of lmax and
+the neighbour lists its matvec runs over.
 
 With G the n x m incidence matrix whose columns are the g_l, every product
 the solver needs is one of two O(m d) edge operations: the gather G^T Y
 (row differences y_i - y_j) and the scatter G T (row t_l added at i,
 subtracted at j). C Q = (rho/2) G G^T Q is a gather followed by a scatter.
+The Lanczos for lmax alone applies G G^T v as deg_i v_i minus the sum of v
+over i's neighbours, over per-node neighbour lists formed once per graph
+(laplacian_matvec).
 The dense C (dense_laplacian) is built only when the `C` attribute is
 read; no fit reads it, and fits with gamma = 0 build no graph at all.
 """
@@ -69,6 +73,36 @@ def edge_scatter(T: np.ndarray, edges: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def laplacian_matvec(edges: np.ndarray, n: int):
+    """The function v -> G G^T v on length-n vectors, over per-node
+    neighbour lists.
+
+    (G G^T v)_i = deg_i v_i - sum of v over i's neighbours: one take and one
+    segmented sum. The lists are formed here, once; a node with no edge
+    gives 0.
+    """
+    i, j = edges[:, 0], edges[:, 1]
+    # both directions of every edge as keys node * n + neighbour, sorted:
+    # a sort of the keys took a third of the time of a stable argsort of
+    # the nodes
+    keys = np.concatenate([i * np.int64(n) + j, j * np.int64(n) + i])
+    keys.sort()
+    neighbours = np.remainder(keys, n, out=keys)
+    deg = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    linked = np.flatnonzero(deg)
+    # np.add.reduceat gives an element, not 0, for an empty segment, so
+    # the segments start only at nodes that have an edge
+    starts = (np.cumsum(deg) - deg)[linked]
+    deg = deg.astype(float)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        out = deg * v
+        out[linked] -= np.add.reduceat(v.take(neighbours), starts)
+        return out
+
+    return matvec
+
+
 def dense_laplacian(edges: np.ndarray, n: int) -> np.ndarray:
     """G G^T = sum_l g_l g_l^T as a dense n x n matrix (for inspection and
     small dense solves only)."""
@@ -95,14 +129,12 @@ class FusionGraph:
     def __post_init__(self):
         self.edges = np.asfortranarray(self.edges)
         if self.lmax is None:
-            self.lmax = top_eigenvalue_sym(self._apply_laplacian, self.n) if self.m else 0.0
+            self.lmax = (top_eigenvalue_sym(laplacian_matvec(self.edges, self.n), self.n)
+                         if self.m else 0.0)
 
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
-
-    def _apply_laplacian(self, v: np.ndarray) -> np.ndarray:
-        return edge_scatter(edge_gather(v[:, None], self.edges), self.edges, self.n)[:, 0]
 
     @property
     def omega(self) -> float | None:
@@ -138,47 +170,55 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     among j's (union symmetrization): an (m, 2) int64 array sorted by (i, j).
 
     Distances are Euclidean over rows. Ties are broken by smaller index.
-    Requires 1 <= delta <= n - 1. Squared distances are formed
-    KNN_BLOCK_ELEMENTS // n rows at a time (at least one, at most n), in
-    two block buffers reused for every block; each block contributes the
-    keys min(i, j) * n + max(i, j) of its neighbor pairs, and the sorted
-    distinct keys give the union. The pairs come in Fortran order, as
-    FusionGraph stores them.
+    Requires 1 <= delta <= n - 1. Each row ranks the others by the score
+    ||x_j||^2 - 2 x_i.x_j, its squared distances less its own ||x_i||^2,
+    after the rows are shifted by the rounded column means. The scores are
+    formed KNN_BLOCK_ELEMENTS // n rows at a time (at least one, at most
+    n), each block by one matrix product into one buffer reused for every
+    block; each block contributes the keys min(i, j) * n + max(i, j) of its
+    neighbor pairs, and the sorted distinct keys give the union. The pairs
+    come in Fortran order, as FusionGraph stores them.
 
     Each row's delta + 1 nearest candidates come from one argpartition.
-    Where the delta-th of them lies strictly below the (delta + 1)-th, the
+    Where the delta-th of them scores strictly below the (delta + 1)-th, the
     first delta are the neighbors whatever the tie rule; only rows where
     the two tie go through full-width masks that admit the tied indices in
     order. With delta = n - 1 the (delta + 1)-th is the row's own infinite
-    distance, so every other point gets in.
+    score, so every other point gets in.
     """
     X = check_matrix(X)
-    n = X.shape[0]
+    n, p = X.shape
     if not 1 <= delta <= n - 1:
         raise ValueError(f"delta must be in [1, n-1] = [1, {n - 1}], got {delta}")
-    sq = np.sum(X * X, axis=1)
+    # score_ij = ||x_j||^2 - 2 x_i.x_j, the squared distance less the row's
+    # own ||x_i||^2, as one product [x_i, 1] . [-2 x_j, ||x_j||^2]. The
+    # norms cancel in it, so far from the origin they swamp the distances:
+    # the rows are shifted by the rounded column means first, which keeps
+    # integer data integral, and with it its exact ties.
+    left = np.empty((n, p + 1))
+    shifted = np.subtract(X, np.round(X.mean(axis=0)), out=left[:, :p])
+    left[:, p] = 1.0
+    right = np.empty((p + 1, n))
+    np.multiply(shifted.T, -2.0, out=right[:p])
+    np.sum(shifted * shifted, axis=1, out=right[p])
     block = min(max(1, KNN_BLOCK_ELEMENTS // n), n)
-    prod_buf, d2_buf = np.empty((block, n)), np.empty((block, n))
+    score_buf = np.empty((block, n))
     keys = []
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
-        # d2 = sq_i + sq_j - 2 x_i.x_j, each step written into the buffers
-        prod, d2 = prod_buf[:r1 - r0], d2_buf[:r1 - r0]
-        np.matmul(X[r0:r1], X.T, out=prod)
-        np.multiply(prod, 2.0, out=prod)
-        np.add(sq[r0:r1, None], sq[None, :], out=d2)
-        np.subtract(d2, prod, out=d2)
-        d2[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
-        cand = np.argpartition(d2, delta, axis=1)[:, :delta + 1]
-        dist = np.take_along_axis(d2, cand, axis=1)
-        # argpartition leaves the (delta + 1)-th distance in the last column
+        score = score_buf[:r1 - r0]
+        np.matmul(left[r0:r1], right, out=score)
+        score[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+        cand = np.argpartition(score, delta, axis=1)[:, :delta + 1]
+        near = np.take_along_axis(score, cand, axis=1)
+        # argpartition leaves the (delta + 1)-th score in the last column
         # and no larger one before it
-        clear = dist[:, :delta].max(axis=1) < dist[:, delta]
+        clear = near[:, :delta].max(axis=1) < near[:, delta]
         rows = np.repeat(np.flatnonzero(clear), delta)
         cols = cand[clear, :delta].ravel()
         tied_rows = np.flatnonzero(~clear)
         if tied_rows.size:
-            t_rows, t_cols = _tied_neighbors(d2[tied_rows], delta)
+            t_rows, t_cols = _tied_neighbors(score[tied_rows], delta)
             rows = np.concatenate([rows, tied_rows[t_rows]])
             cols = np.concatenate([cols, t_cols])
         rows += r0
@@ -192,14 +232,14 @@ def knn_indicator(X, delta: int) -> np.ndarray:
     return pairs
 
 
-def _tied_neighbors(d2: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of each row's delta nearest columns, ties at the
-    delta-th distance admitted in index order."""
-    kth = np.partition(d2, delta - 1, axis=1)[:, delta - 1:delta]
-    below = d2 < kth
-    tied = d2 == kth
+def _tied_neighbors(score: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each row's delta lowest-scoring columns, ties at the
+    delta-th score admitted in index order."""
+    kth = np.partition(score, delta - 1, axis=1)[:, delta - 1:delta]
+    below = score < kth
+    tied = score == kth
     room = delta - np.count_nonzero(below, axis=1)
-    # a stable sort of the row puts ties at the delta-th distance in index
+    # a stable sort of the row puts ties at the delta-th score in index
     # order: where more tie than there is room, the smallest indices get in
     crowded = np.count_nonzero(tied, axis=1) > room
     tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]

@@ -193,6 +193,13 @@ def test_row_norms_equal_numpy_bit_for_bit_below_eight_columns(d):
     assert row_norms(np.zeros((0, d))).shape == (0,)
 
 
+def test_row_norms_of_no_columns_are_zero_and_leave_Z_as_it_was():
+    np.testing.assert_array_equal(row_norms(np.zeros((3, 0))), np.zeros(3))
+    Z = np.array([[-3.0], [4.0]])
+    np.testing.assert_array_equal(row_norms(Z), [3.0, 4.0])
+    np.testing.assert_array_equal(Z, [[-3.0], [4.0]])
+
+
 def test_row_norms_from_eight_columns_differ_from_numpy_in_the_last_bit():
     # numpy sums rows of 8 or more pairwise; the column-wise sum is another
     # order of the same additions

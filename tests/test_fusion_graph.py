@@ -8,7 +8,7 @@ import pytest
 
 import rsodc.fusion_graph as fusion_graph
 from rsodc.admm_scoring import init_state, inner_admm
-from rsodc.core import LANCZOS_STEPS, center_columns, thin_svd
+from rsodc.core import LANCZOS_STEPS, center_columns, thin_svd, top_eigenvalue_sym
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import (
     OMEGA_FLOOR,
@@ -16,10 +16,12 @@ from rsodc.fusion_graph import (
     build_fusion_graph,
     build_quadratic,
     compute_weights,
+    dense_laplacian,
     edge_gather,
     edge_scatter,
     incidence_vector,
     knn_indicator,
+    laplacian_matvec,
 )
 
 
@@ -178,6 +180,21 @@ def test_knn_indicator_breaks_a_tie_at_the_cut_across_a_block_boundary(delta, sh
                                   np.argwhere(np.triu(_dense_knn_reference(X, delta))))
 
 
+def test_knn_indicator_far_from_the_origin_matches_direct_differences():
+    # ||x||^2 = 2e13 here: expanded as ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
+    # the distances keep about 4 of their 16 digits, and neighbours at
+    # nearly one distance swapped places
+    n, delta = 300, 25
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
+    X = X + 1e6
+    d2 = ((X[:, None] - X[None]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    ind = np.zeros((n, n), dtype=bool)
+    ind[np.repeat(np.arange(n), delta), order[:, :delta].ravel()] = True
+    np.testing.assert_array_equal(knn_indicator(X, delta), np.argwhere(np.triu(ind | ind.T)))
+
+
 def test_knn_working_memory_grows_linearly_in_n(monkeypatch):
     # a few 256 x n float blocks at a time; an n x n bool alone would be
     # 144 MB here
@@ -287,11 +304,12 @@ def test_graph_build_is_bit_identical_at_any_block_size(data, tau, delta, monkey
 
 
 def test_graph_build_peak_is_the_budget_plus_the_edge_arrays():
-    # beyond the O(n delta) edge arrays (neighbor keys, pairs, weights) and
-    # the Lanczos basis of lmax, the build holds three block-sized arrays:
-    # two distance buffers and their argpartition indices. A build that
-    # gathers both endpoints of every edge at once would add 2 m p doubles
-    # (39 MB here).
+    # beyond the O(n delta) edge arrays (neighbor keys, pairs, weights, the
+    # Lanczos matvec's neighbour lists) and the Lanczos basis of lmax, the
+    # build holds two block-sized arrays, one score buffer and its
+    # argpartition indices, and the O(n p) factors of the product that
+    # forms the scores. A build that gathers both endpoints of every edge
+    # at once would add 2 m p doubles (39 MB here).
     n, delta = 8000, 25
     X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
     tracemalloc.start()
@@ -303,3 +321,56 @@ def test_graph_build_peak_is_the_budget_plus_the_edge_arrays():
     assert graph.m >= n * delta // 2
     bound = 8 * (3 * fusion_graph.KNN_BLOCK_ELEMENTS + LANCZOS_STEPS * n + 6 * n * delta)
     assert peak < bound
+
+
+# -- lmax: the Lanczos over the neighbour-list Laplacian -------------------------
+
+def _counted(matvec):
+    calls = []
+
+    def counting(v):
+        calls.append(1)
+        return matvec(v)
+
+    return counting, calls
+
+
+def test_lanczos_stops_early_on_a_ladder_graph_at_the_dense_top_eigenvalue():
+    n = 1000
+    X, _ = generate(SimulationConfig(n=n, p=20, k=3, theta=2.2, xi=0.5, seed=n))
+    graph = compute_weights(X, 0.1, 25)
+    matvec, calls = _counted(laplacian_matvec(graph.edges, n))
+    lmax = top_eigenvalue_sym(matvec, n)
+    assert len(calls) < LANCZOS_STEPS
+    assert lmax == graph.lmax
+    top = float(np.linalg.eigvalsh(dense_laplacian(graph.edges, n))[-1])
+    assert abs(lmax - top) <= 1e-12 * top
+    # a Ritz value is never above the top eigenvalue beyond rounding
+    assert lmax <= top * (1.0 + 1e-14)
+
+
+def test_lanczos_finds_a_top_eigenvalue_of_multiplicity_two():
+    # two disjoint copies of one graph: each eigenvalue appears twice
+    X, _ = generate(SimulationConfig(n=200, p=20, k=3, theta=2.2, xi=0.5, seed=200))
+    one = compute_weights(X, 0.1, 10)
+    two = FusionGraph(edges=np.concatenate([one.edges, one.edges + 200]),
+                      alpha=np.concatenate([one.alpha, one.alpha]), n=400)
+    eig = np.linalg.eigvalsh(dense_laplacian(two.edges, 400))
+    assert eig[-1] - eig[-2] <= 1e-12 * eig[-1]
+    assert abs(two.lmax - eig[-1]) <= 1e-12 * eig[-1]
+    assert two.lmax <= eig[-1] * (1.0 + 1e-14)
+
+
+def test_neighbour_list_laplacian_gives_zero_at_nodes_with_no_edge():
+    # nodes 0, 4 and 7 (the last) have no edge: np.add.reduceat would
+    # return an element, not 0, for their empty segments
+    n = 8
+    edges = np.array([[1, 2], [1, 3], [2, 3], [2, 6], [3, 5], [5, 6]])
+    graph = FusionGraph(edges=edges, alpha=np.ones(len(edges)), n=n)
+    v = np.random.default_rng(3).standard_normal(n)
+    got = laplacian_matvec(graph.edges, n)(v)
+    via_edges = edge_scatter(edge_gather(v[:, None], graph.edges), graph.edges, n)[:, 0]
+    np.testing.assert_allclose(got, via_edges, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got[[0, 4, 7]], 0.0)
+    top = float(np.linalg.eigvalsh(dense_laplacian(graph.edges, n))[-1])
+    assert abs(graph.lmax - top) <= 1e-12 * top
