@@ -81,13 +81,18 @@ def read_labels_csv(path, header: bool = True) -> np.ndarray:
 
 
 def write_matrix_csv(path, X, columns, labels=None) -> None:
-    """Write rows of X at 17 significant digits, optionally with a label column."""
-    rows = np.asarray(X, dtype=float).tolist()
-    header = list(columns)
+    """Write rows of X at 17 significant digits, optionally with a label
+    column, as write_rows_csv would: one %-template (%.17g a value, %d the
+    label, CRLF line ends) formats every row at once."""
+    X = np.asarray(X, dtype=float)
+    header, cells = list(columns), X.astype(object)
     if labels is not None:
         header.append("label")
-        rows = [row + [int(label)] for row, label in zip(rows, labels)]
-    write_rows_csv(path, header, rows)
+        cells = np.column_stack([cells, np.asarray(labels, dtype=np.int64).astype(object)])
+    row = ",".join(["%.17g"] * X.shape[1] + ["%d"] * (labels is not None)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        handle.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def write_rows_csv(path, header, rows) -> None:

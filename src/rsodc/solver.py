@@ -16,12 +16,12 @@ the same scaling and a ridge weight of 2 eta2, so with Y fixed it is the
 reported loss in B and its coordinate sweeps never raise it. ADMM
 iterations carry no such guarantee, hence the guarded acceptance below.
 
-The loop runs over Iterates, immutable points (B, Y, V, Lambda) with their
-fusion term and loss; the trace holds the loss of each point it moves to.
-_outer_step takes the B step and the scoring step from one. A scoring step
-that raises the loss beyond 1e-8 is retried from the same Y, up to
-SCORING_RETRIES times, and the fit ends "stalled" only when every retry is
-rejected, so the trace is non-increasing.
+The loop runs over Iterates, immutable points of B and the scoring ADMM's
+(Y, V, Lambda) with their fusion term and loss; the trace holds the loss of
+each point it moves to. _outer_step takes the B step and the scoring step
+from one. A scoring step that raises the loss beyond 1e-8 is retried from
+the same Y, up to SCORING_RETRIES times, and the fit ends "stalled" only
+when every retry is rejected, so the trace is non-increasing.
 
 After an accepted step, _trial extrapolates the whole iterate along the move
 from the previous step, z + beta (z - z_prev), and keeps the point only if
@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm_scoring import (Carry, ScoringState, carry_at, edge_differences, init_state,
-                           inner_admm, update_Y)
+from .admm_scoring import (ScoringPoint, edge_differences, inner_admm, scoring_point,
+                           update_Y)
 from .core import (RANK_TOL, ProblemInstance, as_generator, center_columns, check_matrix,
                    row_norms, thin_svd)
 from .fusion_graph import FusionGraph, build_fusion_graph, build_quadratic, cap_delta
@@ -189,17 +189,14 @@ def _polar_factor(A: np.ndarray):
 
 @dataclass(frozen=True)
 class Iterate:
-    """A point of the outer loop: B, Y, the ADMM's V and Lambda (no rows
-    without fusion), the fusion term at Y, the loss at (B, Y) and the Carry
-    the next ADMM call may start from. No step writes into its arrays."""
+    """A point of the outer loop: B, the scoring point (Y, and the ADMM's V
+    and Lambda, no rows without fusion), the fusion term at Y and the loss
+    at (B, Y). No step writes into its arrays."""
 
     B: np.ndarray
-    Y: np.ndarray
-    V: np.ndarray
-    Lambda: np.ndarray
+    scoring: ScoringPoint
     fusion: float
     loss: float
-    carry: Carry | None = None
 
 
 class _Loop:
@@ -226,45 +223,46 @@ def _outer_step(loop: _Loop, it: Iterate, calls: int = 0) -> tuple[Iterate | Non
     t0 = time.perf_counter()
     # the loss carries eta2 ||B||^2 and the subproblem (eta2/2) ||B||^2,
     # so the subproblem gets 2 eta2 and the B step minimises the loss in B
-    design = build_stacked(it.Y, Xc, 2.0 * instance.eta2, gram=loop.gram)
+    design = build_stacked(it.scoring.Y, Xc, 2.0 * instance.eta2, gram=loop.gram)
     B, sweeps = solve_B(it.B, design, instance.eta1, epsilon=instance.epsilon)
     loop.b_sweeps.append(sweeps)
     W = Xc @ B
     loop.timings["b_step"] += time.perf_counter() - t0
-    obj_b = _objective_terms(W, B, it.Y, it.fusion, instance)
+    obj_b = _objective_terms(W, B, it.scoring.Y, it.fusion, instance)
     if obj_b > it.loss + OBJECTIVE_SLACK:
         return None, False
 
     t0 = time.perf_counter()
     ceiling = min(obj_b, it.loss) + OBJECTIVE_SLACK
-    # a rejected ADMM call is retried from it.Y with the advanced V and
-    # Lambda (restoring Y voids state.carry); the Procrustes step is
-    # deterministic given W, so it runs once
-    state = ScoringState(Y=it.Y, V=it.V, Lambda=it.Lambda, carry=it.carry)
+    # a rejected ADMM call is retried from the iterate's Y with the V and
+    # Lambda it advanced, a point whose per-edge arrays the next call forms;
+    # the Procrustes step is deterministic given W, so it runs once
+    start = it.scoring
     for attempt in range(SCORING_RETRIES + 1 if loop.fused else 1):
         if attempt:
             loop.retries += 1
-            state.Y = it.Y
+            start = ScoringPoint(it.scoring.Y, end.V, end.Lambda)
         if loop.fused:
-            inner_admm(W, state, loop.graph, instance.gamma, epsilon=instance.epsilon,
-                       max_inner=instance.max_inner, v_mode=instance.v_mode)
-            calls += state.iterations
-            loop.inner_capped += not state.converged
+            run = inner_admm(W, start, loop.graph, instance.gamma, epsilon=instance.epsilon,
+                             max_inner=instance.max_inner, v_mode=instance.v_mode)
+            end, deficient = run.point, run.degenerate_updates
+            calls += run.iterations
+            loop.inner_capped += not run.converged
         else:
-            update_Y(state, W)
+            Y, deficient = update_Y(start, W)
+            end = ScoringPoint(Y, start.V, start.Lambda)
             calls += 1
-        # a fused call leaves the edge differences of the Y it ends at
-        fusion = _fusion_term(state.Y, loop.graph, instance.gamma,
-                              state.carry.diffs if loop.fused else None)
-        loss = _objective_terms(W, B, state.Y, fusion, instance)
+        loop.degenerate_updates += deficient
+        # a fused call ends at a point holding the edge differences of its Y
+        fusion = _fusion_term(end.Y, loop.graph, instance.gamma, end.diffs)
+        loss = _objective_terms(W, B, end.Y, fusion, instance)
         if not loss > ceiling:
             break
     loop.inner_iterations.append(calls)
-    loop.degenerate_updates += state.degenerate_updates
     loop.timings["y_step"] += time.perf_counter() - t0
     if loss > ceiling:
-        return Iterate(B, it.Y, it.V, it.Lambda, it.fusion, obj_b), False
-    return Iterate(B, state.Y, state.V, state.Lambda, fusion, loss, state.carry), True
+        return Iterate(B, it.scoring, it.fusion, obj_b), False
+    return Iterate(B, end, fusion, loss), True
 
 
 def _trial(loop: _Loop, step: Iterate, last: Iterate, beta: float) -> Iterate | None:
@@ -277,7 +275,8 @@ def _trial(loop: _Loop, step: Iterate, last: Iterate, beta: float) -> Iterate | 
         # the paper V step leaves each scoring step far from its subproblem's
         # solution, and extrapolating along such steps ends fits stalled
         return None
-    Y = _polar_factor(_extrapolated(step.Y, last.Y, beta))
+    z, z0 = step.scoring, last.scoring
+    Y = _polar_factor(_extrapolated(z.Y, z0.Y, beta))
     if Y is None:
         return None
     B = _extrapolated(step.B, last.B, beta)
@@ -287,11 +286,10 @@ def _trial(loop: _Loop, step: Iterate, last: Iterate, beta: float) -> Iterate | 
     if not loss < step.loss:
         return None
     loop.extrapolations += 1
-    V = _extrapolated(step.V, last.V, beta)
-    Lam = _extrapolated(step.Lambda, last.Lambda, beta)
+    V, Lam = _extrapolated(z.V, z0.V, beta), _extrapolated(z.Lambda, z0.Lambda, beta)
     # the next ADMM call starts from diffs instead of a gather
-    carry = carry_at(ScoringState(Y=Y, V=V, Lambda=Lam), graph, diffs) if loop.fused else None
-    return Iterate(B, Y, V, Lam, fusion, loss, carry)
+    scoring = scoring_point(graph, Y, V, Lam, diffs) if loop.fused else ScoringPoint(Y, V, Lam)
+    return Iterate(B, scoring, fusion, loss)
 
 
 def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult:
@@ -315,13 +313,15 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     B = rng.standard_normal((instance.p, d))
     # start from the leading left singular vectors of Xc
     Y0 = _singular_vectors(Xc)[0][:, :d]
-    start = (init_state(Y0, graph) if fused else
-             ScoringState(Y=Y0.copy(), V=np.zeros((0, d)), Lambda=np.zeros((0, d))))
+    start = (scoring_point(graph, Y0) if fused else
+             ScoringPoint(Y0.copy(), np.zeros((0, d)), np.zeros((0, d))))
     # the fusion term changes only with Y: evaluated once per Y, it serves
     # the B step's check and the loss
-    fusion = _fusion_term(start.Y, graph, instance.gamma)
-    current = Iterate(B, start.Y, start.V, start.Lambda, fusion,
+    fusion = _fusion_term(start.Y, graph, instance.gamma, start.diffs)
+    current = Iterate(B, start, fusion,
                       _objective_terms(Xc @ B, B, start.Y, fusion, instance))
+    # the iterates alone hold the start point, so its per-edge arrays go with them
+    del start
     loop = _Loop(instance, graph, Xc, timings)
     trace = [current.loss]
     status = "max_outer"
@@ -359,14 +359,16 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
             back, beta = [], (1.0 if beta <= 1.0 else 0.0)
         else:
             # the trial, tried next at twice the length, takes the step's place;
-            # the step is kept without its carry (rebinding point frees it), so
-            # a step taken again from it starts from a set-up formed anew
+            # the step is kept without its per-edge arrays (rebinding point
+            # frees them), so a step taken again from it forms them anew
             current = trial
-            last = point = dataclasses.replace(point, carry=None)
+            last = point = dataclasses.replace(point, scoring=dataclasses.replace(
+                point.scoring, diffs=None, resid=None, v_norms=None))
             back, beta = [last], 2.0 * beta
         trace.append(current.loss)
-        loop.orth = max(loop.orth, float(np.max(np.abs(current.Y.T @ current.Y - np.eye(d)))))
-        loop.center = max(loop.center, float(np.max(np.abs(current.Y.sum(axis=0)))))
+        Y = current.scoring.Y
+        loop.orth = max(loop.orth, float(np.max(np.abs(Y.T @ Y - np.eye(d)))))
+        loop.center = max(loop.center, float(np.max(np.abs(Y.sum(axis=0)))))
         if trace[-2] - trace[-1] < instance.epsilon:
             status = "converged"
             break
@@ -381,7 +383,7 @@ def _alternate(instance: ProblemInstance, graph, seed, method: str) -> FitResult
     timings["total"] = time.perf_counter() - t_start
 
     return FitResult(
-        B_hat=current.B, Y_hat=current.Y, embedding=embedding, labels=labels,
+        B_hat=current.B, Y_hat=current.scoring.Y, embedding=embedding, labels=labels,
         objective_trace=np.asarray(trace), outer_iters=len(trace) - 1, status=status,
         method=method, timings=timings, inner_iterations=loop.inner_iterations,
         diagnostics={

@@ -169,10 +169,10 @@ class _OneEdgeGraph:
         self.alpha = np.array([alpha])
 
 
-def _one_edge_state(y_i, y_j, v, lam):
-    from rsodc.admm_scoring import ScoringState
+def _one_edge_point(y_i, y_j, v, lam):
+    from rsodc.admm_scoring import ScoringPoint
     Y = np.vstack([y_i, y_j])
-    return ScoringState(Y=Y, V=v[None, :], Lambda=lam[None, :])
+    return ScoringPoint(Y=Y, V=v[None, :], Lambda=lam[None, :])
 
 
 def test_exact_V_update_matches_numeric_minimizer():
@@ -187,11 +187,10 @@ def test_exact_V_update_matches_numeric_minimizer():
         gamma, rho = 0.05, float(rng.uniform(0.2, 1.0))
         alpha = float(rng.uniform(0.1, 1.0))
         graph = _OneEdgeGraph(alpha)
-        state = _one_edge_state(y_i, y_j, v, lam)
-        update_V(state, graph, gamma, rho, mode="exact")
+        V, _ = update_V(_one_edge_point(y_i, y_j, v, lam), graph, gamma, rho, mode="exact")
         psi = gamma * alpha / rho
         q = (y_i - y_j) - lam / rho
-        ours = _edge_objective(state.V[0], q, psi)
+        ours = _edge_objective(V[0], q, psi)
         ref = _numeric_edge_minimum(q, psi)
         assert abs(ours - ref) <= 1e-6
 
@@ -211,9 +210,8 @@ def test_one_step_V_update_never_increases_the_edge_objective():
         q = (y_i - y_j) - lam / rho
         before = _edge_objective(v, q, psi)
         graph = _OneEdgeGraph(alpha)
-        state = _one_edge_state(y_i, y_j, v, lam)
-        update_V(state, graph, gamma, rho, mode="paper")
-        after = _edge_objective(state.V[0], q, psi)
+        V, _ = update_V(_one_edge_point(y_i, y_j, v, lam), graph, gamma, rho, mode="paper")
+        after = _edge_objective(V[0], q, psi)
         if after > before + 1e-12:
             increases.append(after - before)
     assert not increases, (

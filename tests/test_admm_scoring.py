@@ -8,12 +8,13 @@ import pytest
 
 from rsodc import admm_scoring
 from rsodc.admm_scoring import (
+    ScoringPoint,
     assemble_D,
     augmented_lagrangian,
     edge_differences,
-    init_state,
     inner_admm,
     majorizer_value,
+    scoring_point,
     update_Lambda,
     update_V,
     update_Y,
@@ -36,14 +37,18 @@ def _graph(rng, n: int, delta: int = 3, rho: float = 0.05):
     return X, build_fusion_graph(X, tau=0.2, delta=delta, rho=rho)
 
 
-def test_init_state_aligns_V_with_edges():
+def test_a_starting_point_aligns_V_with_edges():
     rng = np.random.default_rng(0)
     X, graph = _graph(rng, 8)
     Y0 = _random_orthonormal_centered(rng, 8, 2)
-    state = init_state(Y0, graph)
-    np.testing.assert_allclose(state.V, edge_differences(Y0, graph))
-    np.testing.assert_array_equal(state.Lambda, np.zeros_like(state.V))
-    assert state.Y is not Y0
+    point = scoring_point(graph, Y0)
+    np.testing.assert_allclose(point.V, edge_differences(Y0, graph))
+    np.testing.assert_array_equal(point.Lambda, np.zeros_like(point.V))
+    assert point.Y is not Y0
+    # its per-edge arrays are formed at its Y and V
+    np.testing.assert_array_equal(point.diffs, edge_differences(Y0, graph))
+    np.testing.assert_array_equal(point.resid, np.zeros_like(point.V))
+    np.testing.assert_array_equal(point.v_norms, row_norms(point.V))
 
 
 def test_assemble_D_matches_dense_formula_and_zero_column_sums():
@@ -51,19 +56,19 @@ def test_assemble_D_matches_dense_formula_and_zero_column_sums():
     n, d = 9, 2
     X, graph = _graph(rng, n)
     Y0 = _random_orthonormal_centered(rng, n, d)
-    state = init_state(Y0, graph)
-    state.Lambda = rng.standard_normal(state.Lambda.shape)
+    start = scoring_point(graph, Y0)
+    point = scoring_point(graph, start.Y, start.V, rng.standard_normal(start.Lambda.shape))
     W = rng.standard_normal((n, d))
     W -= W.mean(axis=0, keepdims=True)
     rho = graph.rho
-    D = assemble_D(W, state, graph, edge_differences(state.Y, graph))
+    D = assemble_D(W, point, graph)
 
     expect = W.copy()
     for l, (i, j) in enumerate(graph.edges):
         g = np.zeros(n)
         g[i], g[j] = 1.0, -1.0
-        expect += np.outer(g, state.Lambda[l] + rho * state.V[l])
-    expect += 2.0 * (graph.omega * state.Y - graph.C @ state.Y)
+        expect += np.outer(g, point.Lambda[l] + rho * point.V[l])
+    expect += 2.0 * (graph.omega * point.Y - graph.C @ point.Y)
     expect *= 0.5
     np.testing.assert_allclose(D, expect, atol=1e-12)
     # centered W and Y give centered D, which carries the constraint forward
@@ -90,15 +95,15 @@ def test_update_Y_solves_procrustes():
     n, d = 10, 3
     X, graph = _graph(rng, n)
     Y0 = _random_orthonormal_centered(rng, n, d)
-    state = init_state(Y0, graph)
     D = rng.standard_normal((n, d))
-    update_Y(state, D)
+    Y, deficient = update_Y(scoring_point(graph, Y0), D)
+    assert not deficient
     # the SVD solution maximizes tr(Y^T D) over orthonormal Y
-    best = float(np.sum(state.Y * D))
+    best = float(np.sum(Y * D))
     for _ in range(200):
         Z, _ = np.linalg.qr(rng.standard_normal((n, d)))
         assert float(np.sum(Z * D)) <= best + 1e-9
-    np.testing.assert_allclose(state.Y.T @ state.Y, np.eye(d), atol=1e-10)
+    np.testing.assert_allclose(Y.T @ Y, np.eye(d), atol=1e-10)
 
 
 def test_update_Y_repairs_rank_deficient_D():
@@ -106,32 +111,32 @@ def test_update_Y_repairs_rank_deficient_D():
     n, d = 8, 3
     Y0 = _random_orthonormal_centered(rng, n, d)
     _, graph = _graph(rng, n)
-    state = init_state(Y0, graph)
     # rank-1 D with zero column sums
     u = rng.standard_normal(n)
     u -= u.mean()
     D = np.outer(u, np.array([1.0, 2.0, 3.0]))
     with pytest.warns(RuntimeWarning, match="degenerate scoring update"):
-        update_Y(state, D)
-    assert state.degenerate_updates == 1
-    np.testing.assert_allclose(state.Y.T @ state.Y, np.eye(d), atol=1e-8)
-    np.testing.assert_allclose(state.Y.sum(axis=0), 0.0, atol=1e-8)
+        Y, deficient = update_Y(scoring_point(graph, Y0), D)
+    assert deficient
+    np.testing.assert_allclose(Y.T @ Y, np.eye(d), atol=1e-8)
+    np.testing.assert_allclose(Y.sum(axis=0), 0.0, atol=1e-8)
 
 
 def test_update_V_exact_matches_closed_form_shrinkage():
     rng = np.random.default_rng(5)
     X, graph = _graph(rng, 8)
     Y = _random_orthonormal_centered(rng, 8, 2)
-    state = init_state(Y, graph)
-    state.Lambda = rng.standard_normal(state.Lambda.shape)
+    start = scoring_point(graph, Y)
+    point = ScoringPoint(Y, start.V, rng.standard_normal(start.Lambda.shape))
     gamma, rho = 0.02, 0.05
-    update_V(state, graph, gamma, rho, mode="exact")
-    q = edge_differences(Y, graph) - state.Lambda / rho
+    V, norms = update_V(point, graph, gamma, rho, mode="exact")
+    q = edge_differences(Y, graph) - point.Lambda / rho
     psi = gamma * graph.alpha / rho
     for l in range(graph.m):
         norm = np.linalg.norm(q[l])
         expect = np.zeros(2) if norm <= psi[l] else q[l] * (1 - psi[l] / norm)
-        np.testing.assert_allclose(state.V[l], expect, atol=1e-12)
+        np.testing.assert_allclose(V[l], expect, atol=1e-12)
+    np.testing.assert_allclose(norms, row_norms(V), rtol=1e-14, atol=1e-300)
 
 
 def test_update_V_paper_mode_is_one_proximal_gradient_step():
@@ -141,41 +146,39 @@ def test_update_V_paper_mode_is_one_proximal_gradient_step():
     X, graph = _graph(rng, 10, delta=3)
     assert np.ptp(graph.alpha) > 0.1  # unequal weights give per-edge psi
     Y = _random_orthonormal_centered(rng, 10, 2)
-    state = init_state(Y, graph)
-    state.V = 0.3 * rng.standard_normal(state.V.shape)
-    state.Lambda = 0.01 * rng.standard_normal(state.Lambda.shape)
-    V0 = state.V.copy()
+    m = graph.m
+    point = ScoringPoint(Y, 0.3 * rng.standard_normal((m, 2)),
+                         0.01 * rng.standard_normal((m, 2)))
     gamma, rho = 0.04, 0.05
-    update_V(state, graph, gamma, rho, mode="paper")
-    q = edge_differences(Y, graph) - state.Lambda / rho
+    V, _ = update_V(point, graph, gamma, rho, mode="paper")
+    q = edge_differences(Y, graph) - point.Lambda / rho
     psi = gamma * graph.alpha / rho
     assert psi.max() < 1.0
     for l in range(graph.m):
-        s = V0[l] - psi[l] * (V0[l] - q[l])
+        s = point.V[l] - psi[l] * (point.V[l] - q[l])
         expect = group_soft_threshold(s, psi[l] ** 2)
-        np.testing.assert_allclose(state.V[l], expect, atol=1e-12)
+        np.testing.assert_allclose(V[l], expect, atol=1e-12)
 
 
 def test_update_V_paper_mode_requires_small_psi():
     rng = np.random.default_rng(6)
     X, graph = _graph(rng, 6, delta=2)
     Y = _random_orthonormal_centered(rng, 6, 2)
-    state = init_state(Y, graph)
+    point = scoring_point(graph, Y)
     with pytest.raises(ValueError):
-        update_V(state, graph, gamma=1.0, rho=0.5, mode="paper")
+        update_V(point, graph, gamma=1.0, rho=0.5, mode="paper")
     # exact mode accepts the same weights
-    update_V(init_state(Y, graph), graph, gamma=1.0, rho=0.5, mode="exact")
+    update_V(point, graph, gamma=1.0, rho=0.5, mode="exact")
 
 
 def test_update_Lambda_accumulates_residual():
     rng = np.random.default_rng(7)
     X, graph = _graph(rng, 7)
     Y = _random_orthonormal_centered(rng, 7, 2)
-    state = init_state(Y, graph)
-    state.V = rng.standard_normal(state.V.shape)
-    resid = state.V - edge_differences(Y, graph)
-    update_Lambda(state, graph, resid)
-    np.testing.assert_allclose(state.Lambda, graph.rho * resid, atol=1e-12)
+    point = scoring_point(graph, Y)
+    resid = rng.standard_normal(point.V.shape) - edge_differences(Y, graph)
+    np.testing.assert_allclose(update_Lambda(point, graph, resid), graph.rho * resid,
+                               atol=1e-12)
 
 
 def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
@@ -183,22 +186,23 @@ def test_inner_admm_stops_on_small_decrease_and_keeps_constraints():
     n, d = 12, 2
     X, graph = _graph(rng, n, delta=4, rho=0.05)
     Y0 = _random_orthonormal_centered(rng, n, d)
-    state = init_state(Y0, graph)
     W = 0.5 * _random_orthonormal_centered(rng, n, d)
-    inner_admm(W, state, graph, gamma=0.02, epsilon=1e-8)
-    assert state.converged
-    assert state.iterations >= 1
-    diffs = np.diff(state.inner_objective)
+    run = inner_admm(W, scoring_point(graph, Y0), graph, gamma=0.02, epsilon=1e-8)
+    assert run.converged
+    assert run.iterations == len(run.lagrangian) - 1 >= 1
+    diffs = np.diff(run.lagrangian)
     # the stop rule fires at the first step whose decrease is below epsilon,
     # so every earlier step decreased by at least that much
     assert diffs[-1] > -1e-8
     assert np.all(diffs[:-1] <= -1e-8)
-    np.testing.assert_allclose(state.Y.T @ state.Y, np.eye(d), atol=1e-9)
-    np.testing.assert_allclose(state.Y.sum(axis=0), 0.0, atol=1e-9)
-    # the recorded Lagrangian matches a recomputation at the final state
-    resid = state.V - edge_differences(state.Y, graph)
-    assert state.inner_objective[-1] == pytest.approx(
-        augmented_lagrangian(W, state, graph, 0.02, resid, row_norms(state.V)), rel=1e-12)
+    end = run.point
+    np.testing.assert_allclose(end.Y.T @ end.Y, np.eye(d), atol=1e-9)
+    np.testing.assert_allclose(end.Y.sum(axis=0), 0.0, atol=1e-9)
+    # the recorded Lagrangian matches a recomputation at the final point,
+    # its per-edge arrays formed anew
+    formed = scoring_point(graph, end.Y, end.V, end.Lambda)
+    assert run.lagrangian[-1] == pytest.approx(
+        augmented_lagrangian(W, formed, graph, 0.02), rel=1e-12)
 
 
 def _two_calls(rng, n=12, d=2):
@@ -209,116 +213,98 @@ def _two_calls(rng, n=12, d=2):
     return graph, Y0, W1, W2
 
 
+def _counted_gathers(monkeypatch) -> list:
+    gathers = []
+    real = admm_scoring.edge_differences
+    monkeypatch.setattr(admm_scoring, "edge_differences",
+                        lambda Y, g: gathers.append(Y) or real(Y, g))
+    return gathers
+
+
 @pytest.mark.parametrize("v_mode", ["exact", "paper"])
 def test_one_inner_iteration_is_the_public_steps_on_the_arrays_each_reads(v_mode):
     graph, Y0, W, _ = _two_calls(np.random.default_rng(14))
     gamma = 0.02
-    state = init_state(Y0, graph)
+    start = scoring_point(graph, Y0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        inner_admm(W, state, graph, gamma, max_inner=1, v_mode=v_mode)
-    assert state.iterations == 1
+        run = inner_admm(W, start, graph, gamma, max_inner=1, v_mode=v_mode)
+    assert run.iterations == 1
 
-    hand = init_state(Y0, graph)
-    diffs = edge_differences(hand.Y, graph)
-    start = augmented_lagrangian(W, hand, graph, gamma, hand.V - diffs, row_norms(hand.V))
-    update_Y(hand, assemble_D(W, hand, graph, diffs))
-    diffs = edge_gather(hand.Y, graph.edges)
-    v_norms = update_V(hand, graph, gamma, graph.rho, mode=v_mode, diffs=diffs)
-    resid = hand.V - diffs
-    update_Lambda(hand, graph, resid)
-    assert state.inner_objective == [
-        start, augmented_lagrangian(W, hand, graph, gamma, resid, v_norms)]
-    for name in ("Y", "V", "Lambda"):
-        np.testing.assert_array_equal(getattr(state, name), getattr(hand, name), err_msg=name)
-    for name, array in (("diffs", diffs), ("resid", resid), ("v_norms", v_norms)):
-        np.testing.assert_array_equal(getattr(state.carry, name), array, err_msg=name)
+    Y, _ = update_Y(start, assemble_D(W, start, graph))
+    diffs = edge_gather(Y, graph.edges)
+    V, v_norms = update_V(start, graph, gamma, graph.rho, mode=v_mode, diffs=diffs)
+    resid = V - diffs
+    end = ScoringPoint(Y, V, update_Lambda(start, graph, resid), diffs, resid, v_norms)
+    assert run.lagrangian == (augmented_lagrangian(W, start, graph, gamma),
+                              augmented_lagrangian(W, end, graph, gamma))
+    for field in dataclasses.fields(ScoringPoint):
+        np.testing.assert_array_equal(getattr(run.point, field.name),
+                                      getattr(end, field.name), err_msg=field.name)
 
 
-def test_inner_admm_carries_its_set_up_to_the_next_call(monkeypatch):
+def test_a_call_from_the_point_an_earlier_call_ended_at_does_no_gather(monkeypatch):
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(10))
     gamma = 0.02
-    carried, recomputed = init_state(Y0, graph), init_state(Y0, graph)
-    for state in (carried, recomputed):
-        inner_admm(W1, state, graph, gamma, epsilon=1e-8)
-    # copies of the three arrays void the carry
-    recomputed.Y = recomputed.Y.copy()
-    recomputed.V = recomputed.V.copy()
-    recomputed.Lambda = recomputed.Lambda.copy()
-    assert carried.carry.holds(carried, graph)
-    assert not recomputed.carry.holds(recomputed, graph)
-    for name in ("Y", "V"):
-        # either of the two replaced voids it
-        probe = dataclasses.replace(carried)
-        setattr(probe, name, getattr(probe, name).copy())
-        assert not probe.carry.holds(probe, graph)
+    ended = inner_admm(W1, scoring_point(graph, Y0), graph, gamma, epsilon=1e-8).point
+    # the same Y, V and Lambda without their per-edge arrays
+    bare = ScoringPoint(ended.Y, ended.V, ended.Lambda)
 
-    gathers = []
-    real = admm_scoring.edge_differences
-    monkeypatch.setattr(admm_scoring, "edge_differences",
-                        lambda Y, g: gathers.append(Y) or real(Y, g))
-    inner_admm(W2, carried, graph, gamma, epsilon=1e-8)
+    gathers = _counted_gathers(monkeypatch)
+    carried = inner_admm(W2, ended, graph, gamma, epsilon=1e-8)
     assert gathers == []
-    inner_admm(W2, recomputed, graph, gamma, epsilon=1e-8)
+    formed = inner_admm(W2, bare, graph, gamma, epsilon=1e-8)
     assert len(gathers) == 1
-    assert carried.iterations == recomputed.iterations > 1
-    np.testing.assert_array_equal(carried.Y, recomputed.Y)
-    np.testing.assert_array_equal(carried.V, recomputed.V)
-    np.testing.assert_array_equal(carried.Lambda, recomputed.Lambda)
-    np.testing.assert_allclose(carried.inner_objective, recomputed.inner_objective,
-                               rtol=1e-12, atol=0)
+    assert carried.iterations == formed.iterations > 1
+    for name in ("Y", "V", "Lambda"):
+        np.testing.assert_array_equal(getattr(carried.point, name), getattr(formed.point, name),
+                                      err_msg=name)
+    np.testing.assert_allclose(carried.lagrangian, formed.lagrangian, rtol=1e-12, atol=0)
 
 
-def test_inner_admm_carries_its_set_up_across_gamma_rho_and_Lambda(monkeypatch):
+def test_a_point_serves_any_gamma_rho_and_Lambda_without_a_gather(monkeypatch):
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(11))
-    state = init_state(Y0, graph)
-    inner_admm(W1, state, graph, 0.02, epsilon=1e-8)
-    # the carried arrays depend on Y, V and the edges alone
-    state.Lambda = state.Lambda + 0.1 * np.random.default_rng(12).standard_normal(
-        state.Lambda.shape)
-    assert state.carry.holds(state, graph)
-    assert state.carry.holds(state, build_quadratic(graph, 0.06))
+    ended = inner_admm(W1, scoring_point(graph, Y0), graph, 0.02, epsilon=1e-8).point
+    # the per-edge arrays depend on Y, V and the edges alone
+    point = dataclasses.replace(ended, Lambda=ended.Lambda + 0.1 * np.random.default_rng(
+        12).standard_normal(ended.Lambda.shape))
     # the start of each next call is the Lagrangian there, recomputed in full
-    expect = init_state(Y0, graph)
-    expect.Y, expect.V, expect.Lambda = state.Y, state.V, state.Lambda
     cases = [(0.03, build_quadratic(graph, 0.05)), (0.02, build_quadratic(graph, 0.06))]
-    resid = state.V - edge_differences(state.Y, graph)
-    starts = [augmented_lagrangian(W2, expect, bound, gamma, resid, row_norms(state.V))
-              for gamma, bound in cases]
+    starts = [augmented_lagrangian(
+        W2, scoring_point(bound, point.Y, point.V, point.Lambda), bound, gamma)
+        for gamma, bound in cases]
 
-    gathers = []
-    real = admm_scoring.edge_differences
-    monkeypatch.setattr(admm_scoring, "edge_differences",
-                        lambda Y, g: gathers.append(Y) or real(Y, g))
+    gathers = _counted_gathers(monkeypatch)
     for (gamma, bound), start in zip(cases, starts):
-        probe = dataclasses.replace(state)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            inner_admm(W2, probe, bound, gamma, max_inner=0)
-        assert probe.inner_objective[0] == pytest.approx(start, rel=1e-12)
+            run = inner_admm(W2, point, bound, gamma, max_inner=0)
+        assert run.lagrangian[0] == pytest.approx(start, rel=1e-12)
     assert gathers == []
 
 
-def test_inner_admm_writes_into_no_array_it_was_handed_or_carried():
+def test_inner_admm_writes_into_no_point_it_was_handed():
     graph, Y0, W1, W2 = _two_calls(np.random.default_rng(13))
-    state = init_state(Y0, graph)
-    inner_admm(W1, state, graph, 0.02, epsilon=1e-8)
-    carry = state.carry
-    handed = {"Y": state.Y, "V": state.V, "Lambda": state.Lambda,
-              "diffs": carry.diffs, "resid": carry.resid, "v_norms": carry.v_norms}
-    before = {name: array.copy() for name, array in handed.items()}
-    inner_admm(W2, state, graph, 0.02, epsilon=1e-8)
-    assert state.iterations > 1 and state.carry is not carry
-    for name, array in handed.items():
-        np.testing.assert_array_equal(array, before[name], err_msg=name)
+    # a starting point's V is its edge differences, one array in both fields
+    start = scoring_point(graph, Y0)
+    ended = inner_admm(W1, start, graph, 0.02, epsilon=1e-8).point
+    names = [field.name for field in dataclasses.fields(ScoringPoint)]
+    before = {(id(point), name): getattr(point, name).copy()
+              for point in (start, ended) for name in names}
+    run = inner_admm(W2, ended, graph, 0.02, epsilon=1e-8)
+    assert run.iterations > 1 and run.point is not ended
+    for point in (start, ended):
+        for name in names:
+            np.testing.assert_array_equal(getattr(point, name), before[id(point), name],
+                                          err_msg=name)
 
 
-def test_init_state_and_an_inner_iteration_keep_V_and_Lambda_F_contiguous():
+def test_a_starting_point_and_an_inner_iteration_keep_the_edge_arrays_F_contiguous():
     graph, Y0, W1, _ = _two_calls(np.random.default_rng(12), d=3)
-    state = init_state(Y0, graph)
-    assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
+    start = scoring_point(graph, Y0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        inner_admm(W1, state, graph, 0.02, max_inner=1)
-    assert state.iterations == 1
-    assert state.V.flags.f_contiguous and state.Lambda.flags.f_contiguous
-    assert state.carry.diffs.flags.f_contiguous and state.carry.resid.flags.f_contiguous
+        run = inner_admm(W1, start, graph, 0.02, max_inner=1)
+    assert run.iterations == 1
+    for point in (start, run.point):
+        for name in ("V", "Lambda", "diffs", "resid"):
+            assert getattr(point, name).flags.f_contiguous, name

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rsodc.fusion_graph as fusion_graph
-from rsodc.admm_scoring import init_state, inner_admm
+from rsodc.admm_scoring import inner_admm, scoring_point
 from rsodc.core import LANCZOS_STEPS, center_columns, thin_svd, top_eigenvalue_sym
 from rsodc.datagen import SimulationConfig, generate
 from rsodc.fusion_graph import (
@@ -245,14 +245,14 @@ def test_graph_build_and_inner_admm_never_hold_an_n_by_n_float():
     tracemalloc.start()
     try:
         graph = build_fusion_graph(X, 0.1, 25, 0.01)
-        state = init_state(L[:, :d], graph)
+        start = scoring_point(graph, L[:, :d])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inner_admm(W, state, graph, gamma=0.001, max_inner=3, v_mode="exact")
+            run = inner_admm(W, start, graph, gamma=0.001, max_inner=3, v_mode="exact")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state.iterations >= 1
+    assert run.iterations >= 1
     assert peak < 8 * n * n
 
 

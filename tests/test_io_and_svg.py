@@ -41,6 +41,22 @@ def test_matrix_csv_label_column_and_headerless(tmp_path):
     np.testing.assert_array_equal(read_matrix_csv(bare, header=False), X)
 
 
+@pytest.mark.parametrize("labels", [None, np.array([3, 1, 2, 1])])
+def test_matrix_csv_bytes_equal_the_csv_module_rows(tmp_path, labels):
+    X = np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, -1e-300],
+                  [0.1, 2.0 / 3.0, 1e300], [1.0, -2.5, 123456789.0]])
+    path = tmp_path / "fast.csv"
+    write_matrix_csv(path, X, ["a", "b", "c"], labels=labels)
+    header, rows = ["a", "b", "c"], X.tolist()
+    if labels is not None:
+        header.append("label")
+        rows = [row + [int(label)] for row, label in zip(rows, labels)]
+    reference = tmp_path / "rows.csv"
+    write_rows_csv(reference, header, rows)
+    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes().count(b"\r\n") == 5
+
+
 def test_read_matrix_csv_diagnostics(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3,x\n")
